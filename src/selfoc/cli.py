@@ -26,6 +26,7 @@ from .coupling1d import (
     spectrum1d,
 )
 from .coupling2d import (
+    COUPLED_CAP,
     Waveguide2D,
     coupled_tensor,
     schmidt_report,
@@ -45,7 +46,7 @@ _FORMATS = ("csv", "json", "plot")
 
 _COMMON = {
     "eps": (float, 1e-8),
-    "cap": (int, MODE_INDEX_CAP),
+    "cap": (int, None),  # per-path default, see _default_cap
     "format": (str, "csv"),
     "out": (str, None),
 }
@@ -161,7 +162,19 @@ def _resolve(ns: argparse.Namespace) -> dict:
             params[key] = from_file[key]
         else:
             params[key] = default
+    if params["cap"] is None:
+        params["cap"] = _default_cap(params)
     return params
+
+
+def _default_cap(params) -> int:
+    """The coupled quadrature path gets the library's smaller cap, since its
+    cost grows with the square of the rectangle edge; the rest get 4096."""
+    kind = params["kind"]
+    coupled = kind == "coupled2d" or (
+        kind == "entropy" and (params["gamma"] != 0.0 or params["gamma-prime"] != 0.0)
+    )
+    return COUPLED_CAP if coupled else MODE_INDEX_CAP
 
 
 def _given(params, *keys):
@@ -500,18 +513,20 @@ def _dispatch(params):
         return 0, echo, _tensor_report(tensor)
 
     if kind == "entropy":
-        if source.gamma == 0.0 and target.gamma == 0.0:
-            tensor = spectrum2d_separable(
-                source, target, nx, ny, epsilon=params["eps"], cap=params["cap"]
-            )
-        else:
-            tensor = coupled_tensor(
-                source, target, nx, ny, epsilon=params["eps"], cap=params["cap"]
-            )
+        grow = (
+            spectrum2d_separable
+            if source.gamma == 0.0 and target.gamma == 0.0
+            else coupled_tensor
+        )
+        code, capped = 0, []
+        try:
+            tensor = grow(source, target, nx, ny, epsilon=params["eps"], cap=params["cap"])
+        except PartialTensorError as exc:
+            tensor, code, capped = exc.tensor, 3, [f"cap reached: {exc}"]
         report = schmidt_report(tensor)
         _emit_schmidt(report, tensor, echo, fmt, out)
         extra = _tensor_report(tensor) + [f"entropy: {_fmt(report.entropy)}"]
-        return 0, echo, extra
+        return code, echo, extra + capped
 
     raise _CliError(f"unknown subcommand {kind!r}")
 

@@ -24,6 +24,10 @@ from .hermite import (
 )
 from .quadrature import gauss_hermite
 
+#: Default rectangle edge cap of the coupled (quadrature) path, kept well
+#: below MODE_INDEX_CAP because its cost rises with the square of the edge.
+COUPLED_CAP = 256
+
 
 @dataclass(frozen=True)
 class Waveguide2D:
@@ -362,7 +366,7 @@ def coupled_tensor(
     n_x: int,
     n_y: int,
     epsilon: float = 1e-6,
-    cap: int = 256,
+    cap: int = COUPLED_CAP,
 ) -> CouplingTensor:
     """Grow the rectangle of coupled amplitudes to the target mass.
 

@@ -5,6 +5,10 @@ Newton-polished on the Hermite-function recurrence; weights follow from
 the Christoffel sum of the same pass.  Everything is evaluated through
 scaled Hermite functions so rules stay generatable far past the order
 where raw polynomial values or bare Gaussians would leave double range.
+
+scipy (for the tridiagonal eigensolver) is loaded when the first rule of
+order >= 2 is built, not when this module is imported, so processes that
+only use the closed-form path never load it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConvergenceError
 
@@ -96,6 +99,10 @@ def gauss_hermite(order: int) -> QuadratureRule:
     if order == 1:
         x = np.zeros(1)
     else:
+        # imported here: scipy.linalg costs ~0.3 s to load, and processes
+        # that never build a rule of order >= 2 should not pay for it
+        from scipy.linalg import eigvalsh_tridiagonal
+
         off_diag = np.sqrt(np.arange(1, order) / 2.0)
         x = eigvalsh_tridiagonal(np.zeros(order), off_diag)
         # Newton polish on the Hermite function; dx = f_n / f_n'

@@ -103,6 +103,16 @@ class TestExitCodes:
         assert len(out.splitlines()) > 1  # partial rows still emitted
         assert "cap reached" in err
 
+    def test_entropy_cap_reached_is_3_with_partial_data(self, capsys):
+        code, out, err = invoke(
+            capsys, "entropy", "--ratio-x", "2", "--ratio-y", "3", "--D-x", "400",
+            "--D-y", "400", "--gamma-prime", "1.5", "--eps", "1e-12", "--cap", "16",
+        )
+        assert code == 3
+        assert out.startswith("k,sigma,p\n")
+        assert "cap reached" in err
+        assert "Traceback" not in err
+
     def test_numeric_failure_is_4(self, capsys):
         code, _, err = invoke(
             capsys, "spectrum1d", "--omega", "1", "--omega-prime", "1", "--d", "1e8"
@@ -274,6 +284,21 @@ class TestSpectrum2DAndEntropy:
         )
         assert code == 0
         assert out.splitlines()[0] == "nx_prime,ny_prime,amplitude,probability"
+
+    @pytest.mark.parametrize(
+        "argv,cap",
+        [
+            (("coupled2d", "--gamma-prime", "0.8"), 256),
+            (("coupled2d", "--gamma-prime", "0.8", "--cap", "100"), 100),
+            (("entropy", "--gamma-prime", "0.8"), 256),
+            (("entropy",), 4096),
+            (("spectrum2d",), 4096),
+        ],
+    )
+    def test_cap_default_follows_path(self, capsys, argv, cap):
+        code, _, err = invoke(capsys, *argv, "--ratio-x", "1.5", "--ratio-y", "2", "--eps", "1e-5")
+        assert code == 0
+        assert f" cap={cap} " in err.splitlines()[0]
 
 
 class TestHelp:

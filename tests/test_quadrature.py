@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,3 +155,38 @@ def test_dataclass_roundtrip():
     rule = gauss_hermite(3)
     clone = QuadratureRule(order=rule.order, nodes=rule.nodes.copy(), weights=rule.weights.copy())
     assert np.array_equal(clone.nodes, rule.nodes)
+
+
+_COLD_PROBE = """
+import json, sys
+loaded = lambda: any(m.split(".")[0] == "scipy" for m in sys.modules)
+import selfoc, selfoc.cli
+state = [loaded()]
+selfoc.gauss_hermite(1)
+state.append(loaded())
+rule = selfoc.gauss_hermite(5)
+state.append(loaded())
+print(json.dumps({"loaded": state, "nodes": [v.hex() for v in rule.nodes.tolist()],
+                  "weights": [v.hex() for v in rule.weights.tolist()]}))
+"""
+
+
+def test_scipy_loaded_only_by_first_rule():
+    # the closed-form commands must start without paying for scipy
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    probe = json.loads(proc.stdout)
+    assert probe["loaded"] == [False, False, True]
+    rule = gauss_hermite(5)
+    assert [float.fromhex(v) for v in probe["nodes"]] == rule.nodes.tolist()
+    assert [float.fromhex(v) for v in probe["weights"]] == rule.weights.tolist()
+    r = math.sqrt(10.0)
+    outer, inner = math.sqrt((5 + r) / 2), math.sqrt((5 - r) / 2)
+    assert rule.nodes == pytest.approx([-outer, -inner, 0.0, inner, outer], rel=1e-14, abs=0)
