@@ -365,8 +365,13 @@ def _emit_matrix(matrix, echo, fmt, out):
 
 
 def _emit_schmidt(report, tensor, echo, fmt, out):
-    sigma = report.singular_values
-    total = float((sigma * sigma).sum())
+    """``report`` None stands for a tensor without mass: no rows, and JSON
+    carries no singular values and a null entropy."""
+    if report is None:
+        sigma, total = (), 0.0
+    else:
+        sigma = report.singular_values
+        total = float((sigma * sigma).sum())
     lines = []
     if fmt == "csv":
         lines.append("k,sigma,p")
@@ -383,7 +388,7 @@ def _emit_schmidt(report, tensor, echo, fmt, out):
         payload = {
             "scenario": echo,
             "singular_values": [float(s) for s in sigma],
-            "entropy": report.entropy,
+            "entropy": None if report is None else report.entropy,
             "captured_mass": tensor.captured_mass,
         }
         lines.append(json.dumps(payload))
@@ -523,6 +528,10 @@ def _dispatch(params):
             tensor = grow(source, target, nx, ny, epsilon=params["eps"], cap=params["cap"])
         except PartialTensorError as exc:
             tensor, code, capped = exc.tensor, 3, [f"cap reached: {exc}"]
+        if capped and not tensor.captured_mass > 0.0:
+            # the partial tensor's mass underflowed: nothing to decompose
+            _emit_schmidt(None, tensor, echo, fmt, out)
+            return code, echo, _tensor_report(tensor) + ["entropy: undefined"] + capped
         report = schmidt_report(tensor)
         _emit_schmidt(report, tensor, echo, fmt, out)
         extra = _tensor_report(tensor) + [f"entropy: {_fmt(report.entropy)}"]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PartialSpectrumError
+from .errors import NumericOverflowError, PartialSpectrumError
 from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
@@ -30,6 +30,10 @@ from .hermite import (
     hermite_scaled,
 )
 from .quadrature import gauss_hermite, integrate
+
+#: Largest first fill of :func:`spectrum1d`, in table entries (n + 1 rows
+#: times columns): 1 MiB of double-double values.
+_FIRST_FILL_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -143,15 +147,57 @@ def overlap_quad(t: Transition1D, n_prime: int) -> float:
         xi_t = (x - t.target.center) / lp
         return const * hermite_scaled(t.n, xi_s) * hermite_scaled(n_prime, xi_t)
 
-    return integrate(rule, poly_part, shift=shift, scale=scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = integrate(rule, poly_part, shift=shift, scale=scale)
+    if not math.isfinite(value):
+        raise NumericOverflowError(
+            f"quadrature overlap <{t.n}|{n_prime}> is not finite: the scaled "
+            "Hermite values overflow outside the classical region",
+            index=(t.n, n_prime),
+        )
+    return value
+
+
+def _n_prime_moments(t: Transition1D) -> tuple:
+    """Mean and variance of the final index n' for the transition.
+
+    Closed forms for a source Fock state |n> (frequency omega) entering a
+    target of frequency omega' shifted by d:
+    <n'> = (n + 1/2)(omega/omega' + omega'/omega)/2 + omega' d^2/2 - 1/2 and
+    Var n' = (beta/omega')^2 (2n^2 + 2n + 2) + omega'^2 d^2 (n + 1/2)/omega
+    with beta = (omega'^2/omega - omega)/4.
+    """
+    w, wp, d, n = t.source.omega, t.target.omega, t.d, t.n
+    mean = (n + 0.5) * (w / wp + wp / w) / 2.0 + wp * d * d / 2.0 - 0.5
+    beta = (wp * wp / w - w) / 4.0
+    var = (beta / wp) ** 2 * (2 * n * n + 2 * n + 2) + wp * wp * d * d * (n + 0.5) / w
+    return mean, var
+
+
+def _first_extent(t: Transition1D) -> int:
+    """First table extent for :func:`spectrum1d`: where the mass should end.
+
+    mean + 4 sigma of n' plus a margin of 16, at least 64 columns, and at
+    most ``_FIRST_FILL_ENTRIES`` table entries over the n + 1 rows: excited
+    inputs at large shifts spread so wide that a fill sized by the spread
+    alone would run to the cap, and hold a table of that size, before the
+    mass is even looked at.
+    """
+    mean, var = _n_prime_moments(t)
+    guess = math.ceil(mean + 4.0 * math.sqrt(var)) + 16
+    return max(64, min(guess, _FIRST_FILL_ENTRIES // (t.n + 1)))
 
 
 def spectrum1d(t: Transition1D, epsilon: float = 1e-8, cap: int = MODE_INDEX_CAP) -> Spectrum:
     """Transition probabilities P_n^{n'} until the captured mass reaches
     1 - epsilon.
 
-    One table pass: the final-index cutoff is grown in blocks and the
-    closed-form row is reused, never recomputed per n'.
+    One table pass: the first fill reaches where the mass should end,
+    mean + 4 sigma of n' from closed-form moments (``_first_extent``), and
+    later fills grow the extent by half until the mass is reached.  The
+    closed-form row is reused, never recomputed per n', and the cutoff is
+    the first index whose cumulative mass reaches the target, however far
+    the table was filled.
 
     Raises
     ------
@@ -165,9 +211,8 @@ def spectrum1d(t: Transition1D, epsilon: float = 1e-8, cap: int = MODE_INDEX_CAP
     builder = _TableBuilder(kernel._dd_coeffs(), t.n)
     target_mass = 1.0 - epsilon
 
-    chunk = 64
+    m_new = min(cap, _first_extent(t))
     while True:
-        m_new = min(builder.m + chunk, cap)
         builder.extend(m_new)
         amplitude = kernel.prefactor * builder.row(t.n)
         cumulative = np.cumsum(amplitude * amplitude)
@@ -190,7 +235,7 @@ def spectrum1d(t: Transition1D, epsilon: float = 1e-8, cap: int = MODE_INDEX_CAP
                 f"at the hard cap {cap}",
                 spectrum=partial,
             )
-        chunk = min(2 * chunk, 1024)
+        m_new = min(cap, m_new + m_new // 2)
 
     amplitude = amplitude[: cutoff + 1]
     probability = amplitude * amplitude

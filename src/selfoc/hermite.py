@@ -21,6 +21,10 @@ from .errors import CapExceededError, NumericOverflowError
 #: Hard cap on any mode index; larger requests are refused outright.
 MODE_INDEX_CAP = 4096
 
+#: Widest column block one table fill step computes; wider extensions are
+#: split so the step's temporaries stay small.
+_FILL_BLOCK = 1024
+
 _PI_QUARTER = math.pi ** -0.25
 
 
@@ -237,10 +241,13 @@ class ScaledHermiteTable:
 class _TableBuilder:
     """Incrementally grown scaled table in compensated arithmetic.
 
-    Row 0 is filled sequentially along m (three-term recurrence); each
-    further row depends only on the two rows below it, so rows vectorize
-    over whole column blocks.  Growth is by column blocks so spectra can
-    extend their cutoff without recomputation.
+    Row 0 is filled sequentially along m (three-term recurrence) on Python
+    floats, through the same ``_dd`` operations as the arrays, so its bits
+    are those numpy scalars would give.  Each further row depends only on
+    the two rows below it, so rows vectorize over whole column blocks of at
+    most ``_FILL_BLOCK`` columns.  Growth is by column blocks so spectra can
+    extend their cutoff without recomputation; every entry comes out the
+    same however the columns were split into ``extend`` calls.
     """
 
     def __init__(self, coeffs: _KernelCoeffs, n_rows: int):
@@ -276,29 +283,36 @@ class _TableBuilder:
             return
         # overflow surfaces as a typed error below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            self._extend(m_new)
+            while self.m < m_new:
+                self._extend(min(m_new, self.m + _FILL_BLOCK))
 
     def _extend(self, m_new: int):
         self._extend_factors(max(m_new, self.n_rows) + 1)
         c = self.c
         m_old = self.m
 
-        # row 0, sequential in m
+        # row 0, sequential in m, on Python floats: the same IEEE operations
+        # in the same order as on numpy scalars, at a fraction of the cost
         hi0, lo0 = self._hi[0], self._lo[0]
-        row0 = (np.concatenate([hi0, np.zeros(m_new - m_old)]),
-                np.concatenate([lo0, np.zeros(m_new - m_old)]))
         if m_old < 0:
-            row0[0][0] = 1.0
+            prev, cur, new = None, (1.0, 0.0), [(1.0, 0.0)]
             m_old = 0
-        for m in range(m_old, m_new):
-            acc = dd.mul(c.ry2, (row0[0][m], row0[1][m]))
-            if m >= 1:
-                t = dd.mul(c.r22, (row0[0][m - 1], row0[1][m - 1]))
-                t = dd.mul(t, (self._sq_hi[m], self._sq_lo[m]))
-                acc = dd.sub(acc, t)
-            val = dd.mul(acc, (self._inv_hi[m], self._inv_lo[m]))
-            row0[0][m + 1], row0[1][m + 1] = val
-        self._hi[0], self._lo[0] = row0
+        else:
+            prev = (float(hi0[m_old - 1]), float(lo0[m_old - 1])) if m_old >= 1 else None
+            cur, new = (float(hi0[m_old]), float(lo0[m_old])), []
+        ry2 = (float(c.ry2[0]), float(c.ry2[1]))
+        r22 = (float(c.r22[0]), float(c.r22[1]))
+        sq = zip(self._sq_hi[m_old:m_new].tolist(), self._sq_lo[m_old:m_new].tolist())
+        inv = zip(self._inv_hi[m_old:m_new].tolist(), self._inv_lo[m_old:m_new].tolist())
+        for sq_m, inv_m in zip(sq, inv):
+            acc = dd.mul(ry2, cur)
+            if prev is not None:
+                acc = dd.sub(acc, dd.mul(dd.mul(r22, prev), sq_m))
+            prev, cur = cur, dd.mul(acc, inv_m)
+            new.append(cur)
+        new_hi, new_lo = zip(*new)
+        self._hi[0] = np.concatenate([hi0, new_hi])
+        self._lo[0] = np.concatenate([lo0, new_lo])
 
         # rows n >= 1, vectorized over the new column block
         lo_col = self.m + 1 if self.m >= 0 else 0

@@ -113,6 +113,25 @@ class TestExitCodes:
         assert "cap reached" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("gamma_prime", ["0", "1.5"])
+    def test_entropy_cap_reached_without_mass_is_3(self, capsys, fmt, gamma_prime):
+        # the partial tensor's mass underflows to 0: an empty report, not exit 2
+        code, out, err = invoke(
+            capsys, "entropy", "--ratio-x", "2", "--ratio-y", "3", "--D-x", "4000",
+            "--D-y", "4000", "--gamma-prime", gamma_prime, "--cap", "8", "--format", fmt,
+        )
+        assert code == 3
+        if fmt == "csv":
+            assert out == "k,sigma,p\n"
+        else:
+            payload = json.loads(out)
+            assert payload["singular_values"] == []
+            assert payload["entropy"] is None
+            assert payload["captured_mass"] == 0.0
+        assert "cap reached" in err
+        assert "entropy: undefined" in err
+
     def test_numeric_failure_is_4(self, capsys):
         code, _, err = invoke(
             capsys, "spectrum1d", "--omega", "1", "--omega-prime", "1", "--d", "1e8"

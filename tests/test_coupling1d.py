@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from selfoc import (
+    NumericOverflowError,
     OscillatorFrame,
     PartialSpectrumError,
     Transition1D,
@@ -14,6 +15,8 @@ from selfoc import (
     overlap_quad,
     spectrum1d,
 )
+from selfoc.coupling1d import _FIRST_FILL_ENTRIES, _first_extent, _n_prime_moments
+from selfoc.hermite import _TableBuilder, build_kernel
 
 
 def transition(w, wp, d, n):
@@ -57,6 +60,13 @@ class TestDualPath:
         a, b = overlap_closed(t, 13), overlap_quad(t, 13)
         assert agree(a, b)
 
+    def test_quad_overflow_is_refused(self):
+        # the scaled Hermite factors overflow outside the classical region
+        t = transition(1.0, 2.0, 30.0, 40)
+        with pytest.raises(NumericOverflowError) as info:
+            overlap_quad(t, 542)
+        assert info.value.index == (40, 542)
+
     def test_quad_normalization_identity(self):
         assert overlap_quad(transition(1.0, 1.0, 0.0, 4), 4) == pytest.approx(1.0, abs=1e-12)
 
@@ -73,6 +83,20 @@ class TestDualPath:
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize("n", [0, 5, 20])
+    @pytest.mark.parametrize("wp,d", [(3.0, 3.0), (1.5, 0.0), (5.0, 2.0), (0.6, 1.5)])
+    def test_is_one_table_row_cut_at_cutoff(self, wp, d, n):
+        t = transition(1.0, wp, d, n)
+        sp = spectrum1d(t)
+        kernel = build_kernel(t.source, t.target)
+        builder = _TableBuilder(kernel._dd_coeffs(), n)
+        builder.extend(sp.cutoff + 300)
+        amplitude = kernel.prefactor * builder.row(n)
+        cumulative = np.cumsum(amplitude * amplitude)
+        assert np.array_equal(sp.amplitude, amplitude[: sp.cutoff + 1])
+        assert sp.captured_mass == cumulative[sp.cutoff]
+        assert sp.cutoff == 0 or cumulative[sp.cutoff - 1] < 1.0 - 1e-8
+
     def test_identity_spike(self):
         sp = spectrum1d(transition(1.0, 1.0, 0.0, 5))
         assert sp.argmax == 5
@@ -125,6 +149,61 @@ class TestSpectrum:
         scaled = spectrum1d(transition(lam, 2.5 * lam, 2.0 / math.sqrt(lam), 1))
         m = min(len(base), len(scaled))
         assert np.abs(base.probability[:m] - scaled.probability[:m]).max() < 1e-12
+
+
+def moments(sp):
+    p = sp.probability / sp.probability.sum()
+    mean = float((sp.n_prime * p).sum())
+    return mean, float(((sp.n_prime - mean) ** 2 * p).sum())
+
+
+class TestMomentEstimate:
+    @pytest.mark.parametrize(
+        "w,c,wp,d,n",
+        [
+            (1.0, 0.0, 3.0, 3.0, 0),
+            (1.0, 0.0, 3.0, 4.0, 3),
+            (0.5, 1.0, 1.7, 2.0, 5),
+            (2.0, -1.0, 0.6, 1.5, 2),
+            (2.5, 0.0, 0.8, 0.0, 4),
+            (1.0, 0.0, 2.0, 1.0, 20),
+            (0.7, 0.3, 2.1, -2.5, 10),
+        ],
+    )
+    def test_matches_computed_spectrum(self, w, c, wp, d, n):
+        t = Transition1D(OscillatorFrame(w, c), OscillatorFrame(wp, c + d), n)
+        mean, var = moments(spectrum1d(t, epsilon=1e-13))
+        est_mean, est_var = _n_prime_moments(t)
+        assert est_mean == pytest.approx(mean, rel=1e-10)
+        assert est_var == pytest.approx(var, rel=1e-8)
+
+    @pytest.mark.parametrize("w,d", [(1.0, 1.6), (1.0, 5.0), (2.5, 2.0)])
+    def test_poisson_anchor(self, w, d):
+        # equal frequencies, ground state in: Poisson with mean omega d^2 / 2
+        t = transition(w, w, d, 0)
+        lam = w * d * d / 2.0
+        assert _n_prime_moments(t) == pytest.approx((lam, lam), rel=1e-14)
+        assert moments(spectrum1d(t, epsilon=1e-13)) == pytest.approx((lam, lam), rel=1e-8)
+
+    @pytest.mark.parametrize("r", [1.5, 3.0, 5.0])
+    def test_squeeze_anchor(self, r):
+        # no shift, ground state in: squeezed vacuum, mean sinh^2 s
+        t = transition(1.0, r, 0.0, 0)
+        mean = (r - 1.0) ** 2 / (4.0 * r)
+        var = (r * r - 1.0) ** 2 / (8.0 * r * r)
+        assert _n_prime_moments(t) == pytest.approx((mean, var), rel=1e-14)
+        assert moments(spectrum1d(t, epsilon=1e-13)) == pytest.approx((mean, var), rel=1e-8)
+
+    def test_first_extent_is_bounded(self):
+        # ground state: mean + 4 sigma + 16, at least 64 columns
+        assert _first_extent(transition(1.0, 1.0, 0.0, 0)) == 64
+        lam = 900.0 / 2.0
+        assert _first_extent(transition(1.0, 1.0, 30.0, 0)) == math.ceil(
+            lam + 4.0 * math.sqrt(lam)
+        ) + 16
+        # an excited, far-shifted input: its spread is wide, the fill is capped
+        assert _first_extent(transition(1.0, 3.0, 28.0, 32)) == _FIRST_FILL_ENTRIES // 33
+        assert _first_extent(transition(1.0, 1.0, 0.0, 4000)) == 64
 
 
 class TestCouplingMatrix:

@@ -16,6 +16,7 @@ from selfoc import (
     oscillator_psi,
     scaled_hermite_table,
 )
+from selfoc.hermite import _FILL_BLOCK, _TableBuilder
 
 
 def hermite_by_sum(n, xi):
@@ -274,3 +275,26 @@ class TestScaledHermiteTable:
         table = scaled_hermite_table(k, 3, 3)
         with pytest.raises(ValueError):
             table.h[0, 0] = 5.0
+
+
+class TestTableChunking:
+    """The table must not depend on how its columns were split into fills:
+    spectra size their fills from an estimate and rely on this."""
+
+    STEPS = (0, 1, 2, 9, 63, 64, 200, _FILL_BLOCK + 76, _FILL_BLOCK + 300)
+
+    @pytest.mark.parametrize("n", [0, 5, 20])
+    @pytest.mark.parametrize(
+        "w,wp,d", [(1.0, 3.0, 3.0), (1.0, 1.5, 0.0), (0.7, 2.1, -4.0), (2.0, 0.5, 1.5)]
+    )
+    def test_irregular_extends_match_one_extend(self, w, wp, d, n):
+        coeffs = build_kernel(OscillatorFrame(w), OscillatorFrame(wp, d))._dd_coeffs()
+        grown = _TableBuilder(coeffs, n)
+        for m in self.STEPS:
+            grown.extend(m)
+        once = _TableBuilder(coeffs, n)
+        once.extend(self.STEPS[-1])
+        assert grown.m == once.m == self.STEPS[-1]
+        for k in range(n + 1):
+            assert np.array_equal(grown._hi[k], once._hi[k])
+            assert np.array_equal(grown._lo[k], once._lo[k])
