@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Dekker splitter, 2**27 + 1; exact for |x| < 2**996 which the tables
-# never approach (overflow is detected and reported first).
+# Dekker splitter, 2**27 + 1; exact for |x| < 2**996.  Larger inputs turn
+# into NaN: kernel inputs reach that range once 1/omega' is above 2**996,
+# so ``hermite.build_kernel`` refuses a kernel that is not finite, and table
+# fills report overflow at the first entry that is not finite.
 _SPLIT = 134217729.0
 
 

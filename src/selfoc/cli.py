@@ -19,6 +19,8 @@ import sys
 import time
 import warnings
 
+import numpy as np
+
 from .coupling1d import (
     Transition1D,
     coupling_matrix,
@@ -32,21 +34,14 @@ from .coupling2d import (
     schmidt_report,
     spectrum2d_separable,
 )
-from .errors import (
-    CapExceededError,
-    ConvergenceError,
-    NotPositiveDefiniteError,
-    NumericOverflowError,
-    PartialSpectrumError,
-    PartialTensorError,
-)
+from .errors import ConvergenceError, PartialSpectrumError, PartialTensorError
 from .hermite import MODE_INDEX_CAP, OscillatorFrame
 
 _FORMATS = ("csv", "json", "plot")
 
 _COMMON = {
     "eps": (float, 1e-8),
-    "cap": (int, None),  # per-path default, see _default_cap
+    "cap": (int, None),  # per-path default, see _coupled
     "format": (str, "csv"),
     "out": (str, None),
 }
@@ -86,14 +81,14 @@ _SUBCOMMAND_KEYS = {
 }
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     """Parameter problem; message names the offending flag or invariant."""
 
 
-def _fmt(v: float) -> str:
-    """Shortest round-trip decimal; integral values drop the '.0'."""
-    s = repr(float(v))
-    return s[:-2] if s.endswith(".0") else s
+def _fmt(v) -> str:
+    """A Python int as it is; a Python float as the shortest round-trip
+    decimal, integral values without the '.0'."""
+    return repr(v).removesuffix(".0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -163,87 +158,56 @@ def _resolve(ns: argparse.Namespace) -> dict:
         else:
             params[key] = default
     if params["cap"] is None:
-        params["cap"] = _default_cap(params)
+        params["cap"] = COUPLED_CAP if _coupled(params) else MODE_INDEX_CAP
     return params
 
 
-def _default_cap(params) -> int:
-    """The coupled quadrature path gets the library's smaller cap, since its
-    cost grows with the square of the rectangle edge; the rest get 4096."""
+def _coupled(params) -> bool:
+    """Whether a request takes the coupled quadrature path; that path gets
+    the library's smaller default cap, since its cost grows with the square
+    of the rectangle edge, and the rest get 4096."""
     kind = params["kind"]
-    coupled = kind == "coupled2d" or (
+    return kind == "coupled2d" or (
         kind == "entropy" and (params["gamma"] != 0.0 or params["gamma-prime"] != 0.0)
     )
-    return COUPLED_CAP if coupled else MODE_INDEX_CAP
 
 
-def _given(params, *keys):
-    return [k for k in keys if params.get(k) is not None]
+def _axes(params, suffixes) -> list:
+    """(omega, omega', d) per axis, from the raw flags or from --ratio and
+    --D (omega = 1, d = sqrt(D)); the two parameterizations exclude each
+    other across all axes."""
 
+    def given(*keys):
+        return [k + s for k in keys for s in suffixes if params[k + s] is not None]
 
-def _frames_1d(params) -> tuple:
-    """Resolve the 1D frame pair; raw and dimensionless flags exclude
-    each other."""
-    dimless = _given(params, "ratio", "D")
-    raw = _given(params, "omega", "omega-prime", "d")
+    def flags(key):
+        return "/".join(f"--{key}{s}" for s in suffixes)
+
+    dimless, raw = given("ratio", "D"), given("omega", "omega-prime", "d")
     if dimless and raw:
         raise _CliError(
             f"--{dimless[0]} and --{raw[0]} are mutually exclusive parameterizations"
         )
-    if dimless:
-        if params["ratio"] is None:
-            raise _CliError("--ratio is required with the dimensionless parameterization")
-        omega = 1.0
-        omega_prime = params["ratio"]
-        big_d = params["D"] if params["D"] is not None else 0.0
-        if big_d < 0:
-            raise _CliError("--D must be non-negative")
-        d = math.sqrt(big_d)
-    else:
-        omega = params["omega"] if params["omega"] is not None else 1.0
-        omega_prime = params["omega-prime"]
-        if omega_prime is None:
-            raise _CliError("--omega-prime (or --ratio) is required")
-        d = params["d"] if params["d"] is not None else 0.0
-    try:
-        return OscillatorFrame(omega, 0.0), OscillatorFrame(omega_prime, d)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-
-
-def _waveguides_2d(params) -> tuple:
-    dimless = _given(params, "ratio-x", "ratio-y", "D-x", "D-y")
-    raw = _given(
-        params, "omega-x", "omega-y", "omega-prime-x", "omega-prime-y", "d-x", "d-y"
-    )
-    if dimless and raw:
-        raise _CliError(
-            f"--{dimless[0]} and --{raw[0]} are mutually exclusive parameterizations"
-        )
-    if dimless:
-        if params["ratio-x"] is None or params["ratio-y"] is None:
-            raise _CliError("--ratio-x and --ratio-y are required together")
-        wx, wy = 1.0, 1.0
-        wpx, wpy = params["ratio-x"], params["ratio-y"]
-        dx_sq = params["D-x"] if params["D-x"] is not None else 0.0
-        dy_sq = params["D-y"] if params["D-y"] is not None else 0.0
-        if dx_sq < 0 or dy_sq < 0:
-            raise _CliError("--D-x/--D-y must be non-negative")
-        dx, dy = math.sqrt(dx_sq), math.sqrt(dy_sq)
-    else:
-        wx = params["omega-x"] if params["omega-x"] is not None else 1.0
-        wy = params["omega-y"] if params["omega-y"] is not None else 1.0
-        wpx, wpy = params["omega-prime-x"], params["omega-prime-y"]
-        if wpx is None or wpy is None:
-            raise _CliError("--omega-prime-x and --omega-prime-y (or --ratio-x/--ratio-y) are required")
-        dx = params["d-x"] if params["d-x"] is not None else 0.0
-        dy = params["d-y"] if params["d-y"] is not None else 0.0
-    try:
-        source = Waveguide2D(wx, wy, params["gamma"], (0.0, 0.0))
-        target = Waveguide2D(wpx, wpy, params["gamma-prime"], (dx, dy))
-    except ValueError as exc:  # includes NotPositiveDefiniteError
-        raise _CliError(str(exc)) from exc
-    return source, target
+    axes = []
+    for s in suffixes:
+        if dimless:
+            ratio, big_d = params["ratio" + s], params["D" + s]
+            if ratio is None:
+                raise _CliError(
+                    f"{flags('ratio')} must be given with the dimensionless parameterization"
+                )
+            big_d = 0.0 if big_d is None else big_d
+            if big_d < 0:
+                raise _CliError(f"{flags('D')} must be non-negative")
+            axes.append((1.0, ratio, math.sqrt(big_d)))
+        else:
+            omega, omega_prime, d = (params[k + s] for k in ("omega", "omega-prime", "d"))
+            if omega_prime is None:
+                raise _CliError(f"{flags('omega-prime')} (or {flags('ratio')}) must be given")
+            axes.append((
+                1.0 if omega is None else omega, omega_prime, 0.0 if d is None else d
+            ))
+    return axes
 
 
 def _check_common(params):
@@ -265,133 +229,22 @@ def _scenario_echo(params) -> dict:
     return echo
 
 
-def _emit_spectrum(spectrum, echo, fmt, out):
-    lines = []
-    if fmt == "csv":
-        lines.append("n_prime,amplitude,probability")
-        for i in range(len(spectrum)):
-            if spectrum.probability[i] == 0.0:
-                continue
-            lines.append(
-                f"{spectrum.n_prime[i]},{_fmt(spectrum.amplitude[i])},{_fmt(spectrum.probability[i])}"
-            )
-    elif fmt == "plot":
-        for i in range(len(spectrum)):
-            if spectrum.probability[i] == 0.0:
-                continue
-            lines.append(f"{spectrum.n_prime[i]} {_fmt(spectrum.probability[i])}")
+def _emit(table, echo, fmt, out):
+    """Render a row table ``(header, rows, plot, fields)``.
+
+    csv: the header (if any), then every row; plot: the ``plot`` columns of
+    every row, space-separated; json: ``{"scenario": echo, **fields(rows)}``.
+    ``rows`` is read once, so it may be a generator; ``fields`` is only
+    called for json.
+    """
+    header, rows, plot, fields = table
+    if fmt == "json":
+        lines = [json.dumps({"scenario": echo, **fields(rows)})]
+    elif fmt == "csv":
+        lines = [",".join(header)] if header else []
+        lines += [",".join(map(_fmt, row)) for row in rows]
     else:
-        entries = [
-            {
-                "n_prime": int(spectrum.n_prime[i]),
-                "amplitude": float(spectrum.amplitude[i]),
-                "probability": float(spectrum.probability[i]),
-            }
-            for i in range(len(spectrum))
-            if spectrum.probability[i] != 0.0
-        ]
-        payload = {
-            "scenario": echo,
-            "entries": entries,
-            "captured_mass": spectrum.captured_mass,
-            "argmax": spectrum.argmax,
-        }
-        lines.append(json.dumps(payload))
-    _write(lines, out)
-
-
-def _emit_tensor(tensor, echo, fmt, out):
-    prob = tensor.probability
-    n1, n2 = tensor.values.shape
-    lines = []
-    if fmt == "csv":
-        lines.append("nx_prime,ny_prime,amplitude,probability")
-        for i in range(n1):
-            for j in range(n2):
-                if prob[i, j] == 0.0:
-                    continue
-                lines.append(
-                    f"{i},{j},{_fmt(tensor.values[i, j])},{_fmt(prob[i, j])}"
-                )
-    elif fmt == "plot":
-        for i in range(n1):
-            for j in range(n2):
-                if prob[i, j] == 0.0:
-                    continue
-                lines.append(f"{i} {j} {_fmt(prob[i, j])}")
-    else:
-        entries = [
-            {
-                "nx_prime": i,
-                "ny_prime": j,
-                "amplitude": float(tensor.values[i, j]),
-                "probability": float(prob[i, j]),
-            }
-            for i in range(n1)
-            for j in range(n2)
-            if prob[i, j] != 0.0
-        ]
-        payload = {
-            "scenario": echo,
-            "entries": entries,
-            "captured_mass": tensor.captured_mass,
-            "argmax": list(tensor.argmax),
-        }
-        lines.append(json.dumps(payload))
-    _write(lines, out)
-
-
-def _emit_matrix(matrix, echo, fmt, out):
-    lines = []
-    if fmt == "csv":
-        lines.append("n,n_prime,amplitude")
-        for i in range(matrix.n_max + 1):
-            for j in range(matrix.n_prime_max + 1):
-                lines.append(f"{i},{j},{_fmt(matrix.values[i, j])}")
-    elif fmt == "plot":
-        for i in range(matrix.n_max + 1):
-            for j in range(matrix.n_prime_max + 1):
-                lines.append(f"{i} {j} {_fmt(matrix.values[i, j])}")
-    else:
-        payload = {
-            "scenario": echo,
-            "n_max": matrix.n_max,
-            "n_prime_max": matrix.n_prime_max,
-            "values": [[float(v) for v in row] for row in matrix.values],
-            "gram_defect": matrix.gram_defect,
-        }
-        lines.append(json.dumps(payload))
-    _write(lines, out)
-
-
-def _emit_schmidt(report, tensor, echo, fmt, out):
-    """``report`` None stands for a tensor without mass: no rows, and JSON
-    carries no singular values and a null entropy."""
-    if report is None:
-        sigma, total = (), 0.0
-    else:
-        sigma = report.singular_values
-        total = float((sigma * sigma).sum())
-    lines = []
-    if fmt == "csv":
-        lines.append("k,sigma,p")
-        for k, s in enumerate(sigma):
-            if s == 0.0:
-                continue
-            lines.append(f"{k},{_fmt(s)},{_fmt(s * s / total)}")
-    elif fmt == "plot":
-        for k, s in enumerate(sigma):
-            if s == 0.0:
-                continue
-            lines.append(f"{k} {_fmt(s)}")
-    else:
-        payload = {
-            "scenario": echo,
-            "singular_values": [float(s) for s in sigma],
-            "entropy": None if report is None else report.entropy,
-            "captured_mass": tensor.captured_mass,
-        }
-        lines.append(json.dumps(payload))
+        lines = [" ".join([_fmt(row[c]) for c in plot]) for row in rows]
     _write(lines, out)
 
 
@@ -431,129 +284,126 @@ def run(argv=None) -> int:
     try:
         params = _resolve(ns)
         _check_common(params)
-        echo = {}
+        echo = _scenario_echo(params)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, echo, extra = _dispatch(params)
+            code, table, extra = _dispatch(params)
+            _emit(table, echo, params["format"], params["out"])
         _report(echo, extra, started, [str(w.message) for w in caught])
         return code
-    except _CliError as exc:
+    # library errors derive from these: CapExceededError and
+    # NotPositiveDefiniteError from ValueError, NumericOverflowError from
+    # FloatingPointError
+    except ValueError as exc:
         sys.stderr.write(f"selfoc: error: {exc}\n")
         return 2
-    except (CapExceededError, NotPositiveDefiniteError, ValueError) as exc:
-        sys.stderr.write(f"selfoc: error: {exc}\n")
-        return 2
-    except (NumericOverflowError, ConvergenceError, FloatingPointError) as exc:
+    except (FloatingPointError, ConvergenceError) as exc:
         sys.stderr.write(f"selfoc: numeric failure: {exc}\n")
         return 4
 
 
 def _dispatch(params):
-    kind = params["kind"]
-    fmt = params["format"]
-    out = params["out"]
-    echo = _scenario_echo(params)
-
-    if kind == "spectrum1d":
-        source, target = _frames_1d(params)
-        t = Transition1D(source, target, params["n"])
-        try:
-            spectrum = spectrum1d(t, epsilon=params["eps"], cap=params["cap"])
-        except PartialSpectrumError as exc:
-            _emit_spectrum(exc.spectrum, echo, fmt, out)
-            return 3, echo, _spectrum_report(exc.spectrum) + [f"cap reached: {exc}"]
-        _emit_spectrum(spectrum, echo, fmt, out)
-        return 0, echo, _spectrum_report(spectrum)
+    """Run one subcommand: its exit code, row table and report lines."""
+    kind, eps, cap = params["kind"], params["eps"], params["cap"]
+    if kind in ("spectrum1d", "fc-estimate", "matrix"):
+        ((omega, omega_prime, d),) = _axes(params, ("",))
+        source, target = OscillatorFrame(omega, 0.0), OscillatorFrame(omega_prime, d)
+    else:
+        (wx, wpx, dx), (wy, wpy, dy) = _axes(params, ("-x", "-y"))
+        source = Waveguide2D(wx, wy, params["gamma"], (0.0, 0.0))
+        target = Waveguide2D(wpx, wpy, params["gamma-prime"], (dx, dy))
 
     if kind == "fc-estimate":
-        source, target = _frames_1d(params)
-        t = Transition1D(source, target, params["n"])
-        cand = fc_candidates(t)
-        if fmt == "json":
-            payload = {"scenario": echo, "estimate": cand["near"], **cand}
-            _write([json.dumps(payload)], out)
-        else:
-            _write([str(cand["near"])], out)
-        extra = [
-            f"estimate: {cand['near']}",
-            f"candidates: near={cand['near']} (x*={_fmt(cand['x_near'])}) "
+        cand = fc_candidates(Transition1D(source, target, params["n"]))
+        near = cand["near"]
+        table = ((), [(near,)], (0,), lambda rows: {"estimate": near, **cand})
+        return 0, table, [
+            f"estimate: {near}",
+            f"candidates: near={near} (x*={_fmt(cand['x_near'])}) "
             f"far={cand['far']} (x*={_fmt(cand['x_far'])})",
         ]
-        return 0, echo, extra
 
     if kind == "matrix":
-        source, target = _frames_1d(params)
         matrix = coupling_matrix(source, target, params["n-max"], params["n-prime-max"])
-        _emit_matrix(matrix, echo, fmt, out)
-        extra = [f"gram_defect: {_fmt(matrix.gram_defect)}"]
-        return 0, echo, extra
+        values = matrix.values.tolist()
+        rows = ((i, j, v) for i, row in enumerate(values) for j, v in enumerate(row))
+        fields = {
+            "n_max": matrix.n_max,
+            "n_prime_max": matrix.n_prime_max,
+            "values": values,
+            "gram_defect": matrix.gram_defect,
+        }
+        table = (("n", "n_prime", "amplitude"), rows, (0, 1, 2), lambda rows: fields)
+        return 0, table, [f"gram_defect: {_fmt(matrix.gram_defect)}"]
 
-    source, target = _waveguides_2d(params)
-    nx, ny = params["nx"], params["ny"]
-
-    if kind == "spectrum2d":
-        if source.gamma != 0.0 or target.gamma != 0.0:
-            raise _CliError(
-                "spectrum2d requires --gamma 0 and --gamma-prime 0; use coupled2d"
-            )
-        try:
-            tensor = spectrum2d_separable(
-                source, target, nx, ny, epsilon=params["eps"], cap=params["cap"]
-            )
-        except PartialTensorError as exc:
-            _emit_tensor(exc.tensor, echo, fmt, out)
-            return 3, echo, _tensor_report(exc.tensor) + [f"cap reached: {exc}"]
-        _emit_tensor(tensor, echo, fmt, out)
-        return 0, echo, _tensor_report(tensor)
-
-    if kind == "coupled2d":
-        try:
-            tensor = coupled_tensor(
-                source, target, nx, ny, epsilon=params["eps"], cap=params["cap"]
-            )
-        except PartialTensorError as exc:
-            _emit_tensor(exc.tensor, echo, fmt, out)
-            return 3, echo, _tensor_report(exc.tensor) + [f"cap reached: {exc}"]
-        _emit_tensor(tensor, echo, fmt, out)
-        return 0, echo, _tensor_report(tensor)
-
-    if kind == "entropy":
-        grow = (
-            spectrum2d_separable
-            if source.gamma == 0.0 and target.gamma == 0.0
-            else coupled_tensor
-        )
-        code, capped = 0, []
-        try:
-            tensor = grow(source, target, nx, ny, epsilon=params["eps"], cap=params["cap"])
-        except PartialTensorError as exc:
-            tensor, code, capped = exc.tensor, 3, [f"cap reached: {exc}"]
-        if capped and not tensor.captured_mass > 0.0:
-            # the partial tensor's mass underflowed: nothing to decompose
-            _emit_schmidt(None, tensor, echo, fmt, out)
-            return code, echo, _tensor_report(tensor) + ["entropy: undefined"] + capped
-        report = schmidt_report(tensor)
-        _emit_schmidt(report, tensor, echo, fmt, out)
-        extra = _tensor_report(tensor) + [f"entropy: {_fmt(report.entropy)}"]
-        return code, echo, extra + capped
-
-    raise _CliError(f"unknown subcommand {kind!r}")
+    if kind == "spectrum2d" and (source.gamma != 0.0 or target.gamma != 0.0):
+        raise _CliError("spectrum2d requires --gamma 0 and --gamma-prime 0; use coupled2d")
+    code, capped = 0, []
+    try:
+        if kind == "spectrum1d":
+            result = spectrum1d(Transition1D(source, target, params["n"]), epsilon=eps, cap=cap)
+        else:
+            grow = coupled_tensor if _coupled(params) else spectrum2d_separable
+            result = grow(source, target, params["nx"], params["ny"], epsilon=eps, cap=cap)
+    except (PartialSpectrumError, PartialTensorError) as exc:
+        result = exc.spectrum if isinstance(exc, PartialSpectrumError) else exc.tensor
+        code, capped = 3, [f"cap reached: {exc}"]
+    report = _grown_report(result)
+    table = _schmidt_table(result, report) if kind == "entropy" else _grown_table(result)
+    return code, table, report + capped
 
 
-def _spectrum_report(spectrum):
-    am = spectrum.argmax
+#: Final-index columns of a spectrum (1D) and of a tensor (2D).
+_INDEX_NAMES = {1: ("n_prime",), 2: ("nx_prime", "ny_prime")}
+
+
+def _grown_table(result):
+    """Rows (final index..., amplitude, probability) of a spectrum or tensor,
+    one per index with nonzero probability; plot: index and probability."""
+    prob = result.probability
+    names = _INDEX_NAMES[prob.ndim]
+    values = result.amplitude if prob.ndim == 1 else result.values
+    hit = np.nonzero(prob)
+    rows = zip(*(k.tolist() for k in hit), values[hit].tolist(), prob[hit].tolist())
+    header = names + ("amplitude", "probability")
+    plot = tuple(range(len(names))) + (len(names) + 1,)
+    return header, rows, plot, lambda rows: {
+        "entries": [dict(zip(header, row)) for row in rows],
+        "captured_mass": result.captured_mass,
+        "argmax": result.argmax,
+    }
+
+
+def _grown_report(result) -> list:
+    prob = result.probability
+    at = np.unravel_index(np.argmax(prob), prob.shape)
+    where = " ".join(f"{name}={k}" for name, k in zip(_INDEX_NAMES[prob.ndim], at))
     return [
-        f"captured_mass: {_fmt(spectrum.captured_mass)}",
-        f"argmax: n_prime={am} probability={_fmt(spectrum.probability[am])}",
+        f"captured_mass: {_fmt(result.captured_mass)}",
+        f"argmax: {where} probability={_fmt(float(prob[at]))}",
     ]
 
 
-def _tensor_report(tensor):
-    i, j = tensor.argmax
-    return [
-        f"captured_mass: {_fmt(tensor.captured_mass)}",
-        f"argmax: nx_prime={i} ny_prime={j} probability={_fmt(tensor.probability[i, j])}",
-    ]
+def _schmidt_table(tensor, report):
+    """Rows (k, sigma, p) of the tensor's Schmidt decomposition, one per
+    nonzero singular value; plot: k and sigma.  Appends the entropy to
+    ``report``.  A capped tensor whose mass underflowed to 0 has nothing to
+    decompose: no rows, and JSON carries no singular values and a null
+    entropy."""
+    if tensor.captured_mass > 0.0:
+        schmidt = schmidt_report(tensor)
+        sigma, entropy = schmidt.singular_values, schmidt.entropy
+        report.append(f"entropy: {_fmt(entropy)}")
+    else:
+        sigma, entropy = np.empty(0), None
+        report.append("entropy: undefined")
+    total = float((sigma * sigma).sum())
+    rows = ((k, s, s * s / total) for k, s in enumerate(sigma.tolist()) if s != 0.0)
+    return ("k", "sigma", "p"), rows, (0, 1), lambda rows: {
+        "singular_values": sigma.tolist(),
+        "entropy": entropy,
+        "captured_mass": tensor.captured_mass,
+    }
 
 
 def main():

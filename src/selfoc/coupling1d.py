@@ -107,10 +107,9 @@ class CouplingMatrix:
 def overlap_closed(t: Transition1D, n_prime: int) -> float:
     """Closed-form amplitude <n|n'> for the transition."""
     n_prime = check_mode_index(n_prime, "n_prime")
-    kernel = build_kernel(t.source, t.target)
-    builder = _TableBuilder(kernel._dd_coeffs(), t.n)
+    builder = _TableBuilder(build_kernel(t.source, t.target), t.n)
     builder.extend(n_prime)
-    return float(kernel.prefactor * builder.row(t.n)[n_prime])
+    return float(builder.amplitude[n_prime])
 
 
 def quad_order_for(n: int, n_prime: int) -> int:
@@ -170,7 +169,8 @@ def _n_prime_moments(t: Transition1D) -> tuple:
     w, wp, d, n = t.source.omega, t.target.omega, t.d, t.n
     mean = (n + 0.5) * (w / wp + wp / w) / 2.0 + wp * d * d / 2.0 - 0.5
     beta = (wp * wp / w - w) / 4.0
-    var = (beta / wp) ** 2 * (2 * n * n + 2 * n + 2) + wp * wp * d * d * (n + 0.5) / w
+    b = beta / wp
+    var = b * b * (2 * n * n + 2 * n + 2) + wp * wp * d * d * (n + 0.5) / w
     return mean, var
 
 
@@ -181,11 +181,15 @@ def _first_extent(t: Transition1D) -> int:
     most ``_FIRST_FILL_ENTRIES`` table entries over the n + 1 rows: excited
     inputs at large shifts spread so wide that a fill sized by the spread
     alone would run to the cap, and hold a table of that size, before the
-    mass is even looked at.
+    mass is even looked at.  Moments that leave double range (extreme
+    frequency ratios) fall back to that entry limit.
     """
     mean, var = _n_prime_moments(t)
-    guess = math.ceil(mean + 4.0 * math.sqrt(var)) + 16
-    return max(64, min(guess, _FIRST_FILL_ENTRIES // (t.n + 1)))
+    spread = mean + 4.0 * math.sqrt(var)
+    limit = _FIRST_FILL_ENTRIES // (t.n + 1)
+    if math.isfinite(spread):
+        limit = min(limit, math.ceil(spread) + 16)
+    return max(64, limit)
 
 
 def spectrum1d(t: Transition1D, epsilon: float = 1e-8, cap: int = MODE_INDEX_CAP) -> Spectrum:
@@ -207,14 +211,13 @@ def spectrum1d(t: Transition1D, epsilon: float = 1e-8, cap: int = MODE_INDEX_CAP
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     cap = check_mode_index(cap, "cap")
-    kernel = build_kernel(t.source, t.target)
-    builder = _TableBuilder(kernel._dd_coeffs(), t.n)
+    builder = _TableBuilder(build_kernel(t.source, t.target), t.n)
     target_mass = 1.0 - epsilon
 
     m_new = min(cap, _first_extent(t))
     while True:
         builder.extend(m_new)
-        amplitude = kernel.prefactor * builder.row(t.n)
+        amplitude = builder.amplitude
         cumulative = np.cumsum(amplitude * amplitude)
         hit = int(np.searchsorted(cumulative, target_mass))
         if hit < len(cumulative):
@@ -270,10 +273,9 @@ def coupling_matrix(
             RuntimeWarning,
             stacklevel=2,
         )
-    kernel = build_kernel(source, target)
-    builder = _TableBuilder(kernel._dd_coeffs(), n_max)
+    builder = _TableBuilder(build_kernel(source, target), n_max)
     builder.extend(n_prime_max)
-    values = kernel.prefactor * builder.table()
+    values = builder.prefactor * builder.table()
     gram = values @ values.T
     defect = float(np.abs(gram - np.eye(n_max + 1)).max())
     return CouplingMatrix(values=values, gram_defect=defect)
@@ -289,8 +291,12 @@ def fc_candidates(t: Transition1D) -> dict:
     w, wp = t.source.omega, t.target.omega
 
     def level(x_star: float) -> int:
-        u = 0.5 * wp * wp * (x_star - t.target.center) ** 2
-        value = u / wp - 0.5
+        dx = x_star - t.target.center
+        value = 0.5 * wp * wp * (dx * dx) / wp - 0.5
+        if not math.isfinite(value):
+            raise NumericOverflowError(
+                f"vertical-transition level at x*={x_star!r} is not finite"
+            )
         return max(0, math.floor(value + 0.5))  # half-integers round up
 
     if t.n == 0:

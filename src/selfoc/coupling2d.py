@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, PartialTensorError
+from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialTensorError
 from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
@@ -52,18 +52,18 @@ class Waveguide2D:
         if len(self.center) != 2 or not all(math.isfinite(c) for c in self.center):
             raise ValueError(f"center must be a finite (x, y) pair, got {self.center}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        if self.gamma * self.gamma >= 4.0 * self.omega_x**2 * self.omega_y**2:
+        wx, wy, g = self.omega_x, self.omega_y, self.gamma
+        if g * g >= 4.0 * (wx * wx) * (wy * wy):
             raise NotPositiveDefiniteError(
-                f"gamma^2 = {self.gamma**2:g} must stay below "
-                f"4 wx^2 wy^2 = {4.0 * self.omega_x**2 * self.omega_y**2:g}"
+                f"gamma^2 = {g * g:g} must stay below 4 wx^2 wy^2 = "
+                f"{4.0 * (wx * wx) * (wy * wy):g}"
             )
 
     @property
     def form_matrix(self) -> np.ndarray:
         """Matrix M of the quadratic form U = (1/2) r^T M r."""
-        return np.array(
-            [[self.omega_x**2, self.gamma / 2.0], [self.gamma / 2.0, self.omega_y**2]]
-        )
+        wx, wy, half = self.omega_x, self.omega_y, self.gamma / 2.0
+        return np.array([[wx * wx, half], [half, wy * wy]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,32 +164,6 @@ class SchmidtReport:
         self.singular_values.setflags(write=False)
 
 
-class _ChannelRow:
-    """Adaptive 1D amplitude row for one axis of a separable transition."""
-
-    def __init__(self, source: OscillatorFrame, target: OscillatorFrame, n: int):
-        kernel = build_kernel(source, target)
-        self._prefactor = kernel.prefactor
-        self._builder = _TableBuilder(kernel._dd_coeffs(), n)
-        self._n = n
-
-    def extend(self, m_new: int):
-        self._builder.extend(m_new)
-
-    @property
-    def m(self) -> int:
-        return self._builder.m
-
-    @property
-    def amplitude(self) -> np.ndarray:
-        return self._prefactor * self._builder.row(self._n)
-
-    @property
-    def mass(self) -> float:
-        a = self.amplitude
-        return float(np.dot(a, a))
-
-
 def _channel_frames(w: Waveguide2D):
     return (
         OscillatorFrame(w.omega_x, w.center[0]),
@@ -219,42 +193,38 @@ def spectrum2d_separable(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     cap = check_mode_index(cap, "cap")
 
-    sx, sy = _channel_frames(source)
-    tx, ty = _channel_frames(target)
-    rows = (_ChannelRow(sx, tx, n_x), _ChannelRow(sy, ty, n_y))
+    # one amplitude row per axis, grown 32 columns at a time
+    frames = zip(_channel_frames(source), _channel_frames(target), (n_x, n_y))
+    rows = [_TableBuilder(build_kernel(s, t), n) for s, t, n in frames]
     chunk = 32
     for row in rows:
         row.extend(min(chunk, cap))
     target_mass = 1.0 - epsilon
     while True:
-        masses = [row.mass for row in rows]
+        amps = [row.amplitude for row in rows]
+        masses = [float(np.dot(a, a)) for a in amps]
         if masses[0] * masses[1] >= target_mass:
             break
         grow = 0 if (1.0 - masses[0]) >= (1.0 - masses[1]) else 1
         if rows[grow].m >= cap:
             grow = 1 - grow
         if rows[grow].m >= cap:
-            values = np.outer(rows[0].amplitude, rows[1].amplitude)
-            tensor = CouplingTensor(
-                values=values,
-                captured_mass=masses[0] * masses[1],
-                initial=(n_x, n_y),
-                epsilon=epsilon,
-            )
-            raise PartialTensorError(
-                f"captured mass {tensor.captured_mass:.12g} < {target_mass:.12g} "
-                f"with both channels at the hard cap {cap}",
-                tensor=tensor,
-            )
+            break
         rows[grow].extend(min(rows[grow].m + chunk, cap))
 
-    values = np.outer(rows[0].amplitude, rows[1].amplitude)
-    return CouplingTensor(
-        values=values,
-        captured_mass=rows[0].mass * rows[1].mass,
+    tensor = CouplingTensor(
+        values=np.outer(amps[0], amps[1]),
+        captured_mass=masses[0] * masses[1],
         initial=(n_x, n_y),
         epsilon=epsilon,
     )
+    if not tensor.captured_mass >= target_mass:
+        raise PartialTensorError(
+            f"captured mass {tensor.captured_mass:.12g} < {target_mass:.12g} "
+            f"with both channels at the hard cap {cap}",
+            tensor=tensor,
+        )
+    return tensor
 
 
 def _mode_factors(w: Waveguide2D):
@@ -335,7 +305,12 @@ def _coupled_block(
     g = weight.reshape(-1)
     m1 = stack1.reshape(top1 + 1, -1)
     m2 = stack2.reshape(top2 + 1, -1)
-    return norm * jac * math.exp(-c0) * ((m1 * g) @ m2.T)
+    block = norm * jac * math.exp(-c0) * ((m1 * g) @ m2.T)
+    if not np.isfinite(block).all():
+        raise NumericOverflowError(
+            f"coupled amplitude block up to ({top1}, {top2}) is not finite"
+        )
+    return block
 
 
 def overlap_coupled(

@@ -155,24 +155,11 @@ class OverlapKernel:
     prefactor: float
     l: float
     l_prime: float
-    coeffs: _KernelCoeffs | None = field(default=None, repr=False)
+    coeffs: _KernelCoeffs = field(repr=False)
 
     def __post_init__(self):
         self.r.setflags(write=False)
         self.y.setflags(write=False)
-
-    def _dd_coeffs(self) -> _KernelCoeffs:
-        if self.coeffs is not None:
-            return self.coeffs
-        # hand-built kernel: promote the rounded fields (reduced accuracy)
-        ry = self.r @ self.y
-        return _KernelCoeffs(
-            dd.from_float(float(self.r[0, 0])),
-            dd.from_float(float(self.r[0, 1])),
-            dd.from_float(float(self.r[1, 1])),
-            dd.from_float(float(ry[0])),
-            dd.from_float(float(ry[1])),
-        )
 
 
 def build_kernel(source: OscillatorFrame, target: OscillatorFrame) -> OverlapKernel:
@@ -181,6 +168,11 @@ def build_kernel(source: OscillatorFrame, target: OscillatorFrame) -> OverlapKer
     Displacement is ``d = target.center - source.center``.  All recurrence
     coefficients are additionally carried in compensated form; see
     :class:`_KernelCoeffs`.
+
+    Raises
+    ------
+    NumericOverflowError
+        A kernel quantity left double range (extreme frequency ratios).
     """
     one = dd.from_float(1.0)
     l2 = dd.div(one, dd.from_float(source.omega))
@@ -207,14 +199,14 @@ def build_kernel(source: OscillatorFrame, target: OscillatorFrame) -> OverlapKer
         [[dd.to_float(r11), dd.to_float(r12)], [dd.to_float(r12), dd.to_float(r22)]]
     )
     y = np.array([dd.to_float(y1), dd.to_float(y2)])
-    return OverlapKernel(
-        r=r,
-        y=y,
-        prefactor=pref,
-        l=dd.to_float(l_dd),
-        l_prime=dd.to_float(lp_dd),
-        coeffs=_KernelCoeffs(r11, r12, r22, ry1, ry2),
-    )
+    l, l_prime = dd.to_float(l_dd), dd.to_float(lp_dd)
+    coeffs = _KernelCoeffs(r11, r12, r22, ry1, ry2)
+    if not np.isfinite([pref, l, l_prime, *r.flat, *y, *np.ravel(coeffs)]).all():
+        raise NumericOverflowError(
+            f"overlap kernel for omega {source.omega!r} -> {target.omega!r} "
+            "is not finite"
+        )
+    return OverlapKernel(r=r, y=y, prefactor=pref, l=l, l_prime=l_prime, coeffs=coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +231,9 @@ class ScaledHermiteTable:
 
 
 class _TableBuilder:
-    """Incrementally grown scaled table in compensated arithmetic.
+    """Incrementally grown scaled table of one kernel in compensated
+    arithmetic; carries the kernel's prefactor, so ``amplitude`` is the
+    top row as overlap amplitudes.
 
     Row 0 is filled sequentially along m (three-term recurrence) on Python
     floats, through the same ``_dd`` operations as the arrays, so its bits
@@ -250,8 +244,9 @@ class _TableBuilder:
     same however the columns were split into ``extend`` calls.
     """
 
-    def __init__(self, coeffs: _KernelCoeffs, n_rows: int):
-        self.c = coeffs
+    def __init__(self, kernel: OverlapKernel, n_rows: int):
+        self.c = kernel.coeffs
+        self.prefactor = kernel.prefactor
         self.n_rows = n_rows
         self.m = -1  # highest filled column
         self._hi = [np.empty(0) for _ in range(n_rows + 1)]
@@ -352,31 +347,20 @@ class _TableBuilder:
         """Row n rounded to double."""
         return self._hi[n] + self._lo[n]
 
+    @property
+    def amplitude(self) -> np.ndarray:
+        """Amplitudes <n_rows|m> for m = 0..self.m."""
+        return self.prefactor * self.row(self.n_rows)
+
     def table(self) -> np.ndarray:
         return np.vstack([self._hi[n] + self._lo[n] for n in range(self.n_rows + 1)])
 
 
-def scaled_hermite_table(
-    kernel: OverlapKernel, n_max: int, m_max: int, sweep: str = "rows"
-) -> ScaledHermiteTable:
-    """Build the scaled two-index Hermite table up to (n_max, m_max).
-
-    ``sweep`` selects which recurrence drives the fill: ``"rows"`` runs
-    the first-index recurrence over rows after seeding row 0, ``"cols"``
-    the mirror-image order.  Both orders agree to well below 1e-12; the
-    knob exists so the path independence of the two recurrences can be
-    cross-checked.
-    """
+def scaled_hermite_table(kernel: OverlapKernel, n_max: int, m_max: int) -> ScaledHermiteTable:
+    """Build the scaled two-index Hermite table up to (n_max, m_max): row 0
+    by the second-index recurrence, then each row from the two below it."""
     n_max = check_mode_index(n_max, "n_max")
     m_max = check_mode_index(m_max, "m_max")
-    c = kernel._dd_coeffs()
-    if sweep == "rows":
-        builder = _TableBuilder(c, n_max)
-        builder.extend(m_max)
-        return ScaledHermiteTable(h=builder.table())
-    if sweep == "cols":
-        mirrored = _KernelCoeffs(c.r22, c.r12, c.r11, c.ry2, c.ry1)
-        builder = _TableBuilder(mirrored, m_max)
-        builder.extend(n_max)
-        return ScaledHermiteTable(h=builder.table().T.copy())
-    raise ValueError(f"sweep must be 'rows' or 'cols', got {sweep!r}")
+    builder = _TableBuilder(kernel, n_max)
+    builder.extend(m_max)
+    return ScaledHermiteTable(h=builder.table())

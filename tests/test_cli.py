@@ -157,6 +157,39 @@ class TestExitCodes:
         assert code == 2
         assert "--eps" in err
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("spectrum1d", "--ratio", "1e300", "--D", "1"), 3),
+            (("spectrum1d", "--ratio", "1e-200", "--D", "0"), 3),
+            (("spectrum1d", "--omega-prime", "1e300", "--d", "0"), 3),
+            (("spectrum1d", "--ratio", "1e-300", "--D", "0"), 4),
+            (("matrix", "--ratio", "1e-300", "--D", "0", "--n-max", "1", "--n-prime-max", "3"), 4),
+            (("fc-estimate", "--ratio", "1e300", "--D", "1"), 4),
+            (("spectrum2d", "--ratio-x", "1e300", "--ratio-y", "2", "--cap", "16"), 3),
+            (("coupled2d", "--ratio-x", "1e300", "--ratio-y", "2", "--gamma-prime", "1",
+              "--cap", "16"), 4),
+        ],
+        ids=[
+            "spectrum1d-ratio-1e300",
+            "spectrum1d-ratio-1e-200",
+            "spectrum1d-omega-prime-1e300",
+            "spectrum1d-ratio-1e-300",
+            "matrix-ratio-1e-300",
+            "fc-estimate-ratio-1e300",
+            "spectrum2d-ratio-x-1e300",
+            "coupled2d-ratio-x-1e300",
+        ],
+    )
+    def test_extreme_finite_frequencies_end_cleanly(self, capsys, argv, expected):
+        # valid parameters whose arithmetic leaves double range: a partial
+        # result (3) or a numeric failure (4), never NaN output or exit 2
+        code, out, err = invoke(capsys, *argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        assert "nan" not in out
+        assert code == expected
+
     def test_gamma_on_spectrum2d_rejected(self, capsys):
         code, _, err = invoke(
             capsys, "spectrum2d", "--ratio-x", "2", "--ratio-y", "3", "--gamma-prime", "1"

@@ -89,7 +89,7 @@ class TestSpectrum:
         t = transition(1.0, wp, d, n)
         sp = spectrum1d(t)
         kernel = build_kernel(t.source, t.target)
-        builder = _TableBuilder(kernel._dd_coeffs(), n)
+        builder = _TableBuilder(kernel, n)
         builder.extend(sp.cutoff + 300)
         amplitude = kernel.prefactor * builder.row(n)
         cumulative = np.cumsum(amplitude * amplitude)

@@ -248,17 +248,6 @@ class TestScaledHermiteTable:
         got = scaled_hermite_table(k, 4, 4).h
         assert np.abs(got - expected).max() < 1e-12
 
-    def test_sweep_order_path_independence(self):
-        k = build_kernel(OscillatorFrame(0.7), OscillatorFrame(2.1, 4.0))
-        rows = scaled_hermite_table(k, 40, 40, sweep="rows").h
-        cols = scaled_hermite_table(k, 40, 40, sweep="cols").h
-        assert np.abs(rows - cols).max() < 1e-12
-
-    def test_bad_sweep(self):
-        k = build_kernel(OscillatorFrame(1.0), OscillatorFrame(1.0))
-        with pytest.raises(ValueError):
-            scaled_hermite_table(k, 1, 1, sweep="diag")
-
     def test_overflow_reports_index(self):
         k = build_kernel(OscillatorFrame(1.0), OscillatorFrame(1.0, 1e8))
         with pytest.raises(NumericOverflowError) as info:
@@ -288,11 +277,11 @@ class TestTableChunking:
         "w,wp,d", [(1.0, 3.0, 3.0), (1.0, 1.5, 0.0), (0.7, 2.1, -4.0), (2.0, 0.5, 1.5)]
     )
     def test_irregular_extends_match_one_extend(self, w, wp, d, n):
-        coeffs = build_kernel(OscillatorFrame(w), OscillatorFrame(wp, d))._dd_coeffs()
-        grown = _TableBuilder(coeffs, n)
+        kernel = build_kernel(OscillatorFrame(w), OscillatorFrame(wp, d))
+        grown = _TableBuilder(kernel, n)
         for m in self.STEPS:
             grown.extend(m)
-        once = _TableBuilder(coeffs, n)
+        once = _TableBuilder(kernel, n)
         once.extend(self.STEPS[-1])
         assert grown.m == once.m == self.STEPS[-1]
         for k in range(n + 1):
