@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +265,109 @@ class TestSchmidtReport:
         )
         with pytest.raises(ValueError):
             schmidt_report(ten)
+
+
+#: Growth requests pinned across caps 8, 12, 16 and 256, partial results
+#: included: label -> (source, target, n_x, n_y, epsilon, cap).
+PINNED_REQUESTS = {
+    "coupled-complete": (
+        Waveguide2D(1.0, 1.3), Waveguide2D(2.0, 3.0, 1.0, (1.0, 0.5)), 0, 0, 1e-4, 256,
+    ),
+    "coupled-partial-cap8": (
+        Waveguide2D(1.0, 1.0), Waveguide2D(3.0, 2.0, 0.5, (4.0, 4.0)), 0, 0, 1e-10, 8,
+    ),
+    "coupled-partial-cap16": (
+        Waveguide2D(1.0, 1.0), Waveguide2D(2.0, 3.0, 1.5, (2.0, 3.0)), 0, 0, 1e-4, 16,
+    ),
+    "identical": (Waveguide2D(1.3, 1.3), Waveguide2D(1.3, 1.3), 1, 0, 1e-6, 256),
+    "uncoupled-partial-cap12": (
+        Waveguide2D(1.0, 1.0), Waveguide2D(2.0, 3.0, 0.0, (1.0, 0.5)), 1, 0, 1e-6, 12,
+    ),
+    "one-side-long-cap16": (
+        Waveguide2D(1.0, 1.0), Waveguide2D(1.2, 4.0, 0.0, (0.0, 2.5)), 0, 0, 1e-8, 16,
+    ),
+    "one-side-long-cap256": (
+        Waveguide2D(1.0, 1.0), Waveguide2D(1.2, 4.0, 0.0, (0.0, 2.5)), 0, 0, 1e-8, 256,
+    ),
+    "shifted-partial-cap8": (
+        Waveguide2D(1.0, 1.0), Waveguide2D(2.0, 3.0, 0.0, (3.0, 4.0)), 1, 2, 1e-6, 8,
+    ),
+    # separable only: both sides start below the cap and one reaches it first
+    "one-side-long-cap40": (
+        Waveguide2D(1.0, 1.0), Waveguide2D(1.2, 4.0, 0.0, (0.0, 2.5)), 0, 0, 1e-8, 40,
+    ),
+}
+
+#: Separable results of the uncoupled requests: label -> (shape, SHA-256 of
+#: the value bytes, the captured mass in hex and the partial message).
+SEPARABLE_PINS = {
+    "identical": (
+        (33, 33),
+        "2d0d61d843d54a92b2a4ad52cfb7ac61ddbd2ba6a8133f102155f9c0c009c220",
+    ),
+    "uncoupled-partial-cap12": (
+        (13, 13),
+        "103de2e15994333c90323b6c108bc1cc8c8a78ece7b0eeb3f12beffadb6842fb",
+    ),
+    "one-side-long-cap16": (
+        (17, 17),
+        "9e0de23d6088ffced22e9fbbe848f36b605ad144db414b39bc9822c0d3d40c46",
+    ),
+    "one-side-long-cap256": (
+        (33, 97),
+        "1737dc2546163585b5b21d316229bfce90d53aeeacd27033087a4a9a353db3d9",
+    ),
+    "shifted-partial-cap8": (
+        (9, 9),
+        "24ba12e3cb6061947fdceeea9ebdee36eb78dfec3bd544656c53f74e46d3c84e",
+    ),
+    "one-side-long-cap40": (
+        (41, 41),
+        "b6a28bf48a5ee1fec7fdb25e258562bb0f151894e5a52c81c0b9a446adb1214a",
+    ),
+}
+
+#: Coupled results (shape, mass, partial flag, every value), compared at
+#: rtol 1e-12 because the last bits of the GEMM depend on the BLAS build.
+#: Recorded before the two growth loops were merged into one.
+COUPLED_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden_tensors.json").read_text(encoding="utf-8")
+)
+
+
+def grow(fn, label):
+    """Run one pinned request; a partial result comes back with its message."""
+    source, target, n_x, n_y, epsilon, cap = PINNED_REQUESTS[label]
+    try:
+        return fn(source, target, n_x, n_y, epsilon, cap), None
+    except PartialTensorError as err:
+        return err.tensor, str(err)
+
+
+def separable_digest(tensor, message):
+    digest = hashlib.sha256(tensor.values.tobytes())
+    digest.update(float(tensor.captured_mass).hex().encode())
+    digest.update((message or "").encode())
+    return digest.hexdigest()
+
+
+class TestGrowthPinned:
+    @pytest.mark.parametrize("label", sorted(SEPARABLE_PINS))
+    def test_separable_bits(self, label):
+        tensor, message = grow(spectrum2d_separable, label)
+        shape, digest = SEPARABLE_PINS[label]
+        assert tensor.values.shape == shape
+        assert separable_digest(tensor, message) == digest
+
+    @pytest.mark.parametrize("label", sorted(COUPLED_GOLDEN))
+    def test_coupled_values(self, label):
+        tensor, message = grow(coupled_tensor, label)
+        want = COUPLED_GOLDEN[label]
+        assert tensor.values.shape == tuple(want["shape"])
+        assert (message is not None) == want["partial"]
+        if message is not None:
+            assert message.endswith(f"with the rectangle at the cap {PINNED_REQUESTS[label][5]}")
+        np.testing.assert_allclose(
+            tensor.captured_mass, want["captured_mass"], rtol=1e-12, atol=0.0
+        )
+        np.testing.assert_allclose(tensor.values, want["values"], rtol=1e-12, atol=1e-13)

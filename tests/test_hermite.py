@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -66,6 +68,9 @@ class TestHermitePhys:
             hermite_phys(2.0, 0.3)
 
 
+HERMITE_SCALED_SHA256 = "7ef4913896c9d79205bee9280b7bac9128107b2b7b4e360a083ff73a6efc7f52"
+
+
 class TestHermiteScaled:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     def test_matches_raw_over_factorial(self, n):
@@ -73,9 +78,35 @@ class TestHermiteScaled:
         expected = hermite_by_sum(n, xi) / math.sqrt(2.0**n * math.factorial(n))
         assert hermite_scaled(n, xi) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_start_levels_keep_input_kind(self, n):
+        assert type(hermite_scaled(n, 0.7)) is float
+        xi = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
+        vals = hermite_scaled(n, xi)
+        assert isinstance(vals, np.ndarray) and vals.shape == xi.shape
+        assert np.array_equal(vals, np.ones_like(xi) if n == 0 else math.sqrt(2.0) * xi)
+
     def test_no_overflow_at_large_index(self):
         # raw H_500(2) has ~570 digits; the scaled form stays tame
         assert np.isfinite(hermite_scaled(500, 2.0))
+
+    def test_bits_pinned(self):
+        # every level 0..400 on a seeded grid with |xi| <= 30, as an array
+        # and point by point as scalars; the digest was recorded before the
+        # recurrence was shared with oscillator_psi and the coupled stacks
+        rng = np.random.default_rng(7)
+        xi = np.concatenate([rng.uniform(-30.0, 30.0, 60), [-30.0, -0.0, 0.0, 30.0]])
+        grid = xi.reshape(8, 8)
+        digest = hashlib.sha256()
+        for n in range(401):
+            vals = hermite_scaled(n, grid)
+            assert vals.shape == grid.shape
+            digest.update(vals.tobytes())
+            for x in xi[::7]:
+                val = hermite_scaled(n, float(x))
+                assert type(val) is float
+                digest.update(struct.pack("<d", val))
+        assert digest.hexdigest() == HERMITE_SCALED_SHA256
 
 
 class TestOscillatorFrame:
@@ -104,6 +135,17 @@ class TestOscillatorPsi:
         assert oscillator_psi(d, 0, frame) == pytest.approx(
             (omega / math.pi) ** 0.25, rel=1e-14
         )
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_start_levels_keep_input_kind(self, n):
+        frame = OscillatorFrame(1.7, 0.2)
+        assert type(oscillator_psi(0.9, n, frame)) is float
+        x = np.linspace(-2.0, 2.0, 6).reshape(3, 2)
+        vals = oscillator_psi(x, n, frame)
+        assert isinstance(vals, np.ndarray) and vals.shape == x.shape
+        # np.exp may take a different code path on arrays than on scalars
+        pointwise = [oscillator_psi(v, n, frame) for v in x.ravel()]
+        np.testing.assert_allclose(vals.ravel(), pointwise, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 11])
     def test_parity_exact(self, n):
