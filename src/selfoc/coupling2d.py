@@ -18,9 +18,11 @@ from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialTenso
 from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
+    _ladder,
     _TableBuilder,
     build_kernel,
     check_mode_index,
+    hermite_scaled,
 )
 from .quadrature import gauss_hermite
 
@@ -53,7 +55,8 @@ class Waveguide2D:
             raise ValueError(f"center must be a finite (x, y) pair, got {self.center}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         wx, wy, g = self.omega_x, self.omega_y, self.gamma
-        if g * g >= 4.0 * (wx * wx) * (wy * wy):
+        # g^2 >= 4 wx^2 wy^2 without squares, which underflow to 0 at tiny wx
+        if 0.5 * abs(g) / wx >= wy:
             raise NotPositiveDefiniteError(
                 f"gamma^2 = {g * g:g} must stay below 4 wx^2 wy^2 = "
                 f"{4.0 * (wx * wx) * (wy * wy):g}"
@@ -171,6 +174,22 @@ def _channel_frames(w: Waveguide2D):
     )
 
 
+def _grow_rectangle(evaluate, step, cap, target_mass):
+    """Grow the index rectangle ``tops`` from ``min(step, cap)`` per side
+    until ``evaluate(tops) -> (result, mass, tails)`` reaches the target
+    mass; the side with the larger tail (side 0 on ties) grows by ``step``,
+    the other once it is at ``cap``.  Returns the last (result, mass)."""
+    tops = [min(step, cap)] * 2
+    while True:
+        result, mass, tails = evaluate(tops)
+        side = 0 if tails[0] >= tails[1] else 1
+        if tops[side] >= cap:
+            side = 1 - side
+        if mass >= target_mass or tops[side] >= cap:
+            return result, mass
+        tops[side] = min(tops[side] + step, cap)
+
+
 def spectrum2d_separable(
     source: Waveguide2D,
     target: Waveguide2D,
@@ -196,31 +215,25 @@ def spectrum2d_separable(
     # one amplitude row per axis, grown 32 columns at a time
     frames = zip(_channel_frames(source), _channel_frames(target), (n_x, n_y))
     rows = [_TableBuilder(build_kernel(s, t), n) for s, t, n in frames]
-    chunk = 32
-    for row in rows:
-        row.extend(min(chunk, cap))
-    target_mass = 1.0 - epsilon
-    while True:
+
+    def evaluate(tops):
+        for row, top in zip(rows, tops):
+            row.extend(top)
         amps = [row.amplitude for row in rows]
         masses = [float(np.dot(a, a)) for a in amps]
-        if masses[0] * masses[1] >= target_mass:
-            break
-        grow = 0 if (1.0 - masses[0]) >= (1.0 - masses[1]) else 1
-        if rows[grow].m >= cap:
-            grow = 1 - grow
-        if rows[grow].m >= cap:
-            break
-        rows[grow].extend(min(rows[grow].m + chunk, cap))
+        return amps, masses[0] * masses[1], (1.0 - masses[0], 1.0 - masses[1])
 
+    target_mass = 1.0 - epsilon
+    amps, mass = _grow_rectangle(evaluate, 32, cap, target_mass)
     tensor = CouplingTensor(
         values=np.outer(amps[0], amps[1]),
-        captured_mass=masses[0] * masses[1],
+        captured_mass=mass,
         initial=(n_x, n_y),
         epsilon=epsilon,
     )
-    if not tensor.captured_mass >= target_mass:
+    if not mass >= target_mass:
         raise PartialTensorError(
-            f"captured mass {tensor.captured_mass:.12g} < {target_mass:.12g} "
+            f"captured mass {mass:.12g} < {target_mass:.12g} "
             f"with both channels at the hard cap {cap}",
             tensor=tensor,
         )
@@ -228,8 +241,8 @@ def spectrum2d_separable(
 
 
 def _mode_factors(w: Waveguide2D):
-    """Per-normal-mode (axis, frequency, 1/length) triples plus the
-    Gaussian envelope matrix A = sum_j Omega_j e_j e_j^T."""
+    """The profile's :class:`NormalModes` and its Gaussian envelope
+    matrix A = sum_j Omega_j e_j e_j^T."""
     nm = normal_modes(w)
     axes = nm.axes
     freqs = nm.frequencies
@@ -240,13 +253,8 @@ def _mode_factors(w: Waveguide2D):
 def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
     """hermite_scaled(k, xi) for k = 0..n_top, stacked on axis 0."""
     out = np.empty((n_top + 1,) + xi.shape)
-    out[0] = 1.0
-    if n_top >= 1:
-        out[1] = math.sqrt(2.0) * xi
-    for k in range(1, n_top):
-        out[k + 1] = (
-            math.sqrt(2.0 / (k + 1)) * xi * out[k] - math.sqrt(k / (k + 1)) * out[k - 1]
-        )
+    for row, level in zip(out, _ladder(xi, np.ones_like(xi))):
+        row[...] = level
     return out
 
 
@@ -289,8 +297,8 @@ def _coupled_block(
         return u * math.sqrt(freq)
 
     src = (
-        _poly_stack(n_x, xi(nm_s.axes[0], nm_s.omega_plus, c_s))[n_x]
-        * _poly_stack(n_y, xi(nm_s.axes[1], nm_s.omega_minus, c_s))[n_y]
+        hermite_scaled(n_x, xi(nm_s.axes[0], nm_s.omega_plus, c_s))
+        * hermite_scaled(n_y, xi(nm_s.axes[1], nm_s.omega_minus, c_s))
     )
     stack1 = _poly_stack(top1, xi(nm_t.axes[0], nm_t.omega_plus, c_t))
     stack2 = _poly_stack(top2, xi(nm_t.axes[1], nm_t.omega_minus, c_t))
@@ -355,41 +363,24 @@ def coupled_tensor(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     cap = check_mode_index(cap, "cap")
 
-    top1, top2 = 8, 8
-    target_mass = 1.0 - epsilon
-    while True:
-        values = _coupled_block(source, target, n_x, n_y, top1, top2)
+    def evaluate(tops):
+        values = _coupled_block(source, target, n_x, n_y, *tops)
         prob = values * values
-        mass = float(prob.sum())
-        if mass >= target_mass:
-            break
-        edge1 = float(prob[-1, :].sum())
-        edge2 = float(prob[:, -1].sum())
-        grow_first = edge1 >= edge2
-        if grow_first and top1 >= cap:
-            grow_first = False
-        if not grow_first and top2 >= cap:
-            grow_first = top1 < cap
-            if not grow_first:
-                tensor = CouplingTensor(
-                    values=values,
-                    captured_mass=mass,
-                    initial=(n_x, n_y),
-                    epsilon=epsilon,
-                )
-                raise PartialTensorError(
-                    f"captured mass {mass:.12g} < {target_mass:.12g} with the "
-                    f"rectangle at the cap {cap}",
-                    tensor=tensor,
-                )
-        if grow_first:
-            top1 = min(top1 + 8, cap)
-        else:
-            top2 = min(top2 + 8, cap)
+        tails = (float(prob[-1, :].sum()), float(prob[:, -1].sum()))
+        return values, float(prob.sum()), tails
 
-    return CouplingTensor(
+    target_mass = 1.0 - epsilon
+    values, mass = _grow_rectangle(evaluate, 8, cap, target_mass)
+    tensor = CouplingTensor(
         values=values, captured_mass=mass, initial=(n_x, n_y), epsilon=epsilon
     )
+    if not mass >= target_mass:
+        raise PartialTensorError(
+            f"captured mass {mass:.12g} < {target_mass:.12g} with the "
+            f"rectangle at the cap {cap}",
+            tensor=tensor,
+        )
+    return tensor
 
 
 def schmidt_report(tensor: CouplingTensor) -> SchmidtReport:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +77,23 @@ def hermite_phys(n: int, xi):
     return h_cur if h_cur.ndim else float(h_cur)
 
 
+def _ladder(xi, phi0):
+    """Yield phi_0 = phi0, phi_1 = sqrt(2) xi phi0, ... of the recurrence
+    phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1}.  Each
+    level is a fresh array computed in place with that formula's IEEE
+    operations, so its bits are the formula's.  phi_{k-1} is scaled before
+    the new level is allocated, which keeps one array fewer live per step."""
+    yield phi0
+    prev, cur = phi0, math.sqrt(2.0) * xi * phi0
+    for k in count(1):
+        yield cur
+        prev = math.sqrt(k / (k + 1)) * prev
+        nxt = math.sqrt(2.0 / (k + 1)) * xi
+        nxt *= cur
+        nxt -= prev
+        prev, cur = cur, nxt
+
+
 def hermite_scaled(n: int, xi):
     """H_n(xi) / sqrt(2**n n!) via the normalized recurrence.
 
@@ -85,41 +103,24 @@ def hermite_scaled(n: int, xi):
     """
     n = check_mode_index(n)
     xi = np.asarray(xi, dtype=float)
-    p_prev = np.ones_like(xi)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = math.sqrt(2.0) * xi
-    for k in range(1, n):
-        p_prev, p_cur = p_cur, (
-            math.sqrt(2.0 / (k + 1)) * xi * p_cur - math.sqrt(k / (k + 1)) * p_prev
-        )
-    return p_cur if p_cur.ndim else float(p_cur)
+    p = next(islice(_ladder(xi, np.ones_like(xi)), n, None))
+    return p if p.ndim else float(p)
 
 
 def oscillator_psi(x, n: int, frame: OscillatorFrame):
     """Harmonic-oscillator eigenfunction psi(x) for the given channel.
 
-    Evaluated with the normalized-function recurrence
-
-        phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1}
-
-    starting from the Gaussian ground state, so no factorial or raw
-    Hermite value is ever formed.  Sign convention: positive leading
-    Hermite coefficient.
+    The ladder of :func:`_ladder` started from the Gaussian ground state,
+    so no factorial or raw Hermite value is ever formed.  Sign convention:
+    positive leading Hermite coefficient.
     """
     n = check_mode_index(n)
     x = np.asarray(x, dtype=float)
     l = frame.length
     xi = (x - frame.center) / l
-    phi_prev = _PI_QUARTER / math.sqrt(l) * np.exp(-0.5 * xi * xi)
-    if n == 0:
-        return phi_prev if phi_prev.ndim else float(phi_prev)
-    phi_cur = math.sqrt(2.0) * xi * phi_prev
-    for k in range(1, n):
-        phi_prev, phi_cur = phi_cur, (
-            math.sqrt(2.0 / (k + 1)) * xi * phi_cur - math.sqrt(k / (k + 1)) * phi_prev
-        )
-    return phi_cur if phi_cur.ndim else float(phi_cur)
+    phi0 = _PI_QUARTER / math.sqrt(l) * np.exp(-0.5 * xi * xi)
+    phi = next(islice(_ladder(xi, phi0), n, None))
+    return phi if phi.ndim else float(phi)
 
 
 class _KernelCoeffs(NamedTuple):

@@ -35,7 +35,9 @@ def _scaled_pass(order: int, x: np.ndarray):
     Works on rescaled values f_k (true function = f_k * common factor *
     exp(logscale)); returns (f_order, f_{order-1}, sum_{k<order} f_k^2,
     logscale).  Ratios and the weight formula are scale-free, so the
-    common factor never needs to be formed.
+    common factor never needs to be formed.  This is the recurrence of
+    :func:`selfoc.hermite._ladder`, kept as its own loop because the
+    rule's bits depend on its mid-sweep rescaling.
     """
     f_prev = np.ones_like(x)
     logscale = np.zeros_like(x)

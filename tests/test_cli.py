@@ -96,12 +96,18 @@ class TestSpectrum1D:
 
 class TestExitCodes:
     def test_cap_reached_is_3_with_partial_data(self, capsys):
-        code, out, err = invoke(
-            capsys, "spectrum1d", "--ratio", "3", "--D", "9", "--cap", "8"
-        )
-        assert code == 3
-        assert len(out.splitlines()) > 1  # partial rows still emitted
-        assert "cap reached" in err
+        cases = [
+            (("spectrum1d", "--ratio", "3", "--D", "9"), 8),
+            # below the coupled growth step of 8
+            (("coupled2d", "--ratio-x", "2", "--ratio-y", "3", "--gamma-prime", "1.5"), 2),
+        ]
+        for argv, cap in cases:
+            code, out, err = invoke(capsys, *argv, "--cap", str(cap))
+            assert code == 3
+            rows = out.splitlines()[1:]
+            assert rows  # partial rows still emitted
+            assert max(int(v) for row in rows for v in row.split(",")[:-2]) <= cap
+            assert "cap reached" in err
 
     def test_entropy_cap_reached_is_3_with_partial_data(self, capsys):
         code, out, err = invoke(
@@ -169,6 +175,7 @@ class TestExitCodes:
             (("spectrum2d", "--ratio-x", "1e300", "--ratio-y", "2", "--cap", "16"), 3),
             (("coupled2d", "--ratio-x", "1e300", "--ratio-y", "2", "--gamma-prime", "1",
               "--cap", "16"), 4),
+            (("spectrum2d", "--ratio-x", "1e-300", "--ratio-y", "2", "--cap", "16"), 4),
         ],
         ids=[
             "spectrum1d-ratio-1e300",
@@ -179,6 +186,7 @@ class TestExitCodes:
             "fc-estimate-ratio-1e300",
             "spectrum2d-ratio-x-1e300",
             "coupled2d-ratio-x-1e300",
+            "spectrum2d-ratio-x-1e-300",
         ],
     )
     def test_extreme_finite_frequencies_end_cleanly(self, capsys, argv, expected):

@@ -28,9 +28,15 @@ class TestWaveguide2D:
             Waveguide2D(1.0, 1.0, 2.0)  # gamma^2 == 4 wx^2 wy^2 boundary
         with pytest.raises(NotPositiveDefiniteError):
             Waveguide2D(1.0, 0.5, 1.5)
+        with pytest.raises(NotPositiveDefiniteError, match=r"gamma\^2 = 144 must stay below"):
+            Waveguide2D(2.0, 3.0, 12.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            Waveguide2D(1e308, 1e-300, 1e10)  # 2 wx overflows
 
     def test_near_boundary_allowed(self):
         Waveguide2D(1.0, 1.0, 1.999)
+        Waveguide2D(1e-300, 2.0)  # wx * wx underflows to 0
+
 
     @pytest.mark.parametrize("wx,wy", [(0.0, 1.0), (1.0, -2.0)])
     def test_bad_frequencies(self, wx, wy):
@@ -202,9 +208,15 @@ class TestCoupledTensor:
 
     def test_cap_raises_partial(self):
         src = Waveguide2D(1.0, 1.0)
-        tgt = Waveguide2D(3.0, 2.0, 0.5, (4.0, 4.0))
-        with pytest.raises(PartialTensorError):
-            coupled_tensor(src, tgt, 0, 0, epsilon=1e-10, cap=8)
+        cases = [
+            (Waveguide2D(3.0, 2.0, 0.5, (4.0, 4.0)), 1e-10, 8),
+            # a cap below the growth step of 8 bounds both edges too
+            (Waveguide2D(2.0, 3.0, 1.5, (2.0, 3.0)), 1e-6, 2),
+        ]
+        for tgt, epsilon, cap in cases:
+            with pytest.raises(PartialTensorError) as info:
+                coupled_tensor(src, tgt, 0, 0, epsilon=epsilon, cap=cap)
+            assert info.value.tensor.values.shape == (cap + 1, cap + 1)
 
     def test_matches_separable_when_uncoupled(self):
         src, tgt = separable_pair(dx=1.0, dy=0.5)
@@ -267,8 +279,8 @@ class TestSchmidtReport:
             schmidt_report(ten)
 
 
-#: Growth requests pinned across caps 8, 12, 16 and 256, partial results
-#: included: label -> (source, target, n_x, n_y, epsilon, cap).
+#: Growth requests pinned at caps from 4 to 256, partial results included:
+#: label -> (source, target, n_x, n_y, epsilon, cap).
 PINNED_REQUESTS = {
     "coupled-complete": (
         Waveguide2D(1.0, 1.3), Waveguide2D(2.0, 3.0, 1.0, (1.0, 0.5)), 0, 0, 1e-4, 256,
@@ -291,6 +303,12 @@ PINNED_REQUESTS = {
     ),
     "shifted-partial-cap8": (
         Waveguide2D(1.0, 1.0), Waveguide2D(2.0, 3.0, 0.0, (3.0, 4.0)), 1, 2, 1e-6, 8,
+    ),
+    # a cap below the coupled growth step of 8 bounds the rectangle too
+    "identical-cap4": (Waveguide2D(1.3, 1.3), Waveguide2D(1.3, 1.3), 0, 0, 1e-6, 4),
+    # separable only: equal tails, so the tie rule picks the side that grows
+    "symmetric-tie": (
+        Waveguide2D(1.0, 1.0), Waveguide2D(2.0, 2.0, 0.0, (2.0, 2.0)), 0, 0, 4e-8, 256,
     ),
     # separable only: both sides start below the cap and one reaches it first
     "one-side-long-cap40": (
@@ -321,6 +339,14 @@ SEPARABLE_PINS = {
         (9, 9),
         "24ba12e3cb6061947fdceeea9ebdee36eb78dfec3bd544656c53f74e46d3c84e",
     ),
+    "identical-cap4": (
+        (5, 5),
+        "c3531e3a0779d478fb853b77b031af1f7fde4d78e950e6e92976e8e0c994a72c",
+    ),
+    "symmetric-tie": (
+        (65, 33),
+        "e9e60978f050c2b710178413552739e0b9eb7033a5e485dc80b2401e71935cc3",
+    ),
     "one-side-long-cap40": (
         (41, 41),
         "b6a28bf48a5ee1fec7fdb25e258562bb0f151894e5a52c81c0b9a446adb1214a",
@@ -328,8 +354,10 @@ SEPARABLE_PINS = {
 }
 
 #: Coupled results (shape, mass, partial flag, every value), compared at
-#: rtol 1e-12 because the last bits of the GEMM depend on the BLAS build.
-#: Recorded before the two growth loops were merged into one.
+#: rtol 1e-12 (atol 1e-13 for round-off entries) because the last bits of
+#: the GEMM depend on the BLAS build.  Recorded before the two growth loops
+#: were merged into one, except identical-cap4: the merged loop no longer
+#: starts that request above its cap.
 COUPLED_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden_tensors.json").read_text(encoding="utf-8")
 )
