@@ -110,8 +110,8 @@ def hermite_scaled(n: int, xi):
 def oscillator_psi(x, n: int, frame: OscillatorFrame):
     """Harmonic-oscillator eigenfunction psi(x) for the given channel.
 
-    The ladder of :func:`_ladder` started from the Gaussian ground state,
-    so no factorial or raw Hermite value is ever formed.  Sign convention:
+    Evaluated by :func:`_ladder` from the Gaussian ground state, so no
+    factorial or raw Hermite value is ever formed.  Sign convention:
     positive leading Hermite coefficient.
     """
     n = check_mode_index(n)
