@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from selfoc import QuadratureRule, gauss_hermite, integrate
+from selfoc.quadrature import _scaled_pass
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -80,6 +81,63 @@ class TestRuleGeneration:
         rule = gauss_hermite(2048)
         assert rule.weights.sum() == pytest.approx(SQRT_PI, rel=1e-13)
         assert np.all(rule.weights >= 0)
+
+
+_REFERENCE_LOG = 512.0 * math.log(2.0)
+
+
+def _reference_pass(order: int, x: np.ndarray):
+    """The rule's Hermite-function sweep written out as its own loop, with
+    the mid-sweep 2**-512 rescale of every level past 1e150: the reference
+    the shared recurrence must reproduce bit for bit."""
+    f_prev = np.ones_like(x)
+    logscale = np.zeros_like(x)
+    s = np.ones_like(x)
+    f_cur = math.sqrt(2.0) * x * f_prev
+    for k in range(1, order):
+        s = s + f_cur * f_cur
+        f_prev, f_cur = f_cur, (
+            math.sqrt(2.0 / (k + 1)) * x * f_cur - math.sqrt(k / (k + 1)) * f_prev
+        )
+        big = np.abs(f_cur) > 1e150
+        if big.any():
+            factor = np.where(big, 2.0 ** -512, 1.0)
+            f_prev = f_prev * factor
+            f_cur = f_cur * factor
+            s = s * factor * factor
+            logscale = logscale + np.where(big, _REFERENCE_LOG, 0.0)
+    return f_cur, f_prev, s, logscale
+
+
+def _bits(a, shape):
+    return np.broadcast_to(np.asarray(a, dtype=float), shape).tobytes()
+
+
+PINNED_ORDERS = [*range(1, 301), 400, 513, 800, 1210, 2048]
+
+
+def test_scaled_pass_bits_pinned():
+    # at the rule's nodes and at seeded points out past the largest node,
+    # where levels pass 1e150 and are rescaled, up to six times at order
+    # 2048; logscale is bit-exact up to two rescales, and past that the
+    # weight exp(-2 logscale) / s underflows to 0 whatever its last bits
+    for order in PINNED_ORDERS:
+        rule = gauss_hermite(order)
+        reach = math.sqrt(2.0 * order) + 5.0
+        rng = np.random.default_rng(order)
+        x = np.concatenate([rule.nodes, rng.uniform(-reach, reach, 64), [-reach, reach]])
+        ref = _reference_pass(order, x)
+        got = _scaled_pass(order, x)
+        for name, a, b in zip(("f_n", "f_nm1", "s"), got[:3], ref[:3]):
+            assert _bits(a, x.shape) == _bits(b, x.shape), (order, name)
+        rescales = np.round(ref[3] / _REFERENCE_LOG)
+        logscale = np.broadcast_to(got[3], x.shape)
+        assert np.array_equal(np.round(logscale / _REFERENCE_LOG), rescales), order
+        low = rescales <= 2
+        assert logscale[low].tobytes() == ref[3][low].tobytes(), order
+        with np.errstate(under="ignore"):
+            w = SQRT_PI * np.exp(-2.0 * ref[3][:order]) / ref[2][:order]
+        assert rule.weights.tobytes() == w.tobytes(), order
 
 
 class TestExactness:
