@@ -24,6 +24,7 @@ from .errors import NumericOverflowError, PartialSpectrumError
 from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
+    _refuse_overfull,
     _TableBuilder,
     build_kernel,
     check_mode_index,
@@ -207,6 +208,8 @@ def spectrum1d(t: Transition1D, epsilon: float = 1e-8, cap: int = MODE_INDEX_CAP
     ------
     PartialSpectrumError
         The cap was hit first; the partial spectrum rides on the error.
+    NumericOverflowError
+        The table overflowed, or the row's mass passed 1 + 1e-10.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -219,6 +222,7 @@ def spectrum1d(t: Transition1D, epsilon: float = 1e-8, cap: int = MODE_INDEX_CAP
         builder.extend(m_new)
         amplitude = builder.amplitude
         cumulative = np.cumsum(amplitude * amplitude)
+        _refuse_overfull(cumulative[-1], f"spectrum of <{t.n}|n'>")
         hit = int(np.searchsorted(cumulative, target_mass))
         if hit < len(cumulative):
             cutoff = hit
@@ -276,6 +280,7 @@ def coupling_matrix(
     builder = _TableBuilder(build_kernel(source, target), n_max)
     builder.extend(n_prime_max)
     values = builder.prefactor * builder.table()
+    _refuse_overfull((values * values).sum(axis=1), "a coupling matrix row")
     gram = values @ values.T
     defect = float(np.abs(gram - np.eye(n_max + 1)).max())
     return CouplingMatrix(values=values, gram_defect=defect)

@@ -17,8 +17,10 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialTensorError
 from .hermite import (
     MODE_INDEX_CAP,
+    _RESCALE_BITS,
     OscillatorFrame,
     _ladder,
+    _refuse_overfull,
     _TableBuilder,
     build_kernel,
     check_mode_index,
@@ -221,6 +223,7 @@ def spectrum2d_separable(
             row.extend(top)
         amps = [row.amplitude for row in rows]
         masses = [float(np.dot(a, a)) for a in amps]
+        _refuse_overfull(masses, "a separable channel")
         return amps, masses[0] * masses[1], (1.0 - masses[0], 1.0 - masses[1])
 
     target_mass = 1.0 - epsilon
@@ -253,8 +256,8 @@ def _mode_factors(w: Waveguide2D):
 def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
     """hermite_scaled(k, xi) for k = 0..n_top, stacked on axis 0."""
     out = np.empty((n_top + 1,) + xi.shape)
-    for row, level in zip(out, _ladder(xi, np.ones_like(xi))):
-        row[...] = level
+    for row, (level, e) in zip(out, _ladder(xi, np.ones_like(xi))):
+        row[...] = level if isinstance(e, int) else np.ldexp(level, _RESCALE_BITS * e)
     return out
 
 

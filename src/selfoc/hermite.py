@@ -27,6 +27,7 @@ MODE_INDEX_CAP = 4096
 _FILL_BLOCK = 1024
 
 _PI_QUARTER = math.pi ** -0.25
+_RESCALE_AT, _RESCALE_BITS = 1e150, 512  # see _ladder
 
 
 def check_mode_index(n, name: str = "n") -> int:
@@ -77,50 +78,67 @@ def hermite_phys(n: int, xi):
     return h_cur if h_cur.ndim else float(h_cur)
 
 
-def _ladder(xi, phi0):
-    """Yield phi_0 = phi0, phi_1 = sqrt(2) xi phi0, ... of the recurrence
-    phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1}.  Each
-    level is a fresh array computed in place with that formula's IEEE
-    operations, so its bits are the formula's.  phi_{k-1} is scaled before
-    the new level is allocated, which keeps one array fewer live per step."""
-    yield phi0
-    prev, cur = phi0, math.sqrt(2.0) * xi * phi0
-    for k in count(1):
-        yield cur
+def _ladder(xi, phi0, e=0):
+    """Yield (phi_k, e) of phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1))
+    phi_{k-1} from phi_0 = phi0, phi_{-1} = 0; the true level is ldexp(phi_k,
+    512 e).  Each level is a fresh array computed in place with the formula's
+    IEEE operations, phi_{k-1} scaled before it is allocated.  A level passing
+    1e150 is scaled with the one below by 2**-512 there and e goes up by 1
+    (e is rebound only then): exact, so finite levels keep their bits.  No
+    level passes 1.0865 max|phi0| exp(max xi^2/2) (Cramer, A&S 22.14.17)."""
+    yield phi0, e
+    prev, cur = 0.0, phi0
+    top, peak = float(np.abs(xi).max(initial=0.0)), np.abs(phi0).max(initial=1e-300)
+    rescale = not 0.5 * top * top + math.log(peak) <= math.log(_RESCALE_AT / 1.0865)
+    for k in count():
         prev = math.sqrt(k / (k + 1)) * prev
         nxt = math.sqrt(2.0 / (k + 1)) * xi
         nxt *= cur
         nxt -= prev
+        if rescale and (big := np.abs(nxt) > _RESCALE_AT).any():
+            factor = np.where(big, 2.0 ** -_RESCALE_BITS, 1.0)
+            nxt *= factor
+            cur, e = cur * factor, e + big
         prev, cur = cur, nxt
+        yield cur, e
+
+
+def _level(n: int, xi, phi0, e=0):
+    """Level n of :func:`_ladder` with its scale undone; a float for scalar input."""
+    phi, e = next(islice(_ladder(xi, phi0, e), n, None))
+    phi = np.ldexp(phi, _RESCALE_BITS * e)
+    return phi if phi.ndim else float(phi)
 
 
 def hermite_scaled(n: int, xi):
     """H_n(xi) / sqrt(2**n n!) via the normalized recurrence.
 
     This is the polynomial part of an oscillator eigenfunction; dividing
-    out the factorial keeps the recurrence overflow-free far past where
-    raw H_n would leave double range.
+    out the factorial and rescaling as :func:`_ladder` does keep it finite
+    wherever the result is, also where raw H_n leaves double range.
     """
     n = check_mode_index(n)
     xi = np.asarray(xi, dtype=float)
-    p = next(islice(_ladder(xi, np.ones_like(xi)), n, None))
-    return p if p.ndim else float(p)
+    return _level(n, xi, np.ones_like(xi))
 
 
 def oscillator_psi(x, n: int, frame: OscillatorFrame):
     """Harmonic-oscillator eigenfunction psi(x) for the given channel.
 
-    Evaluated by :func:`_ladder` from the Gaussian ground state, so no
-    factorial or raw Hermite value is ever formed.  Sign convention:
-    positive leading Hermite coefficient.
+    Evaluated by :func:`_ladder` from the Gaussian ground state, lifted by
+    2**(512 |e|) where it would fall below 2**-1022 (up to |e| = 64, or |xi|
+    216, past which every psi_n with n <= MODE_INDEX_CAP underflows).  Sign
+    convention: positive leading Hermite coefficient.
     """
     n = check_mode_index(n)
     x = np.asarray(x, dtype=float)
     l = frame.length
     xi = (x - frame.center) / l
-    phi0 = _PI_QUARTER / math.sqrt(l) * np.exp(-0.5 * xi * xi)
-    phi = next(islice(_ladder(xi, phi0), n, None))
-    return phi if phi.ndim else float(phi)
+    g, log_step = -0.5 * xi * xi, _RESCALE_BITS * math.log(2.0)
+    # fmin sends NaN to 0 and fmax -inf to -64, so every e casts to int
+    e = np.fmax(np.fmin(np.floor(g / log_step + 1022 / _RESCALE_BITS), 0), -64).astype(int)
+    phi0 = _PI_QUARTER / math.sqrt(l) * np.exp(g - e * log_step)
+    return _level(n, xi, phi0, e)
 
 
 class _KernelCoeffs(NamedTuple):
@@ -355,6 +373,15 @@ class _TableBuilder:
 
     def table(self) -> np.ndarray:
         return np.vstack([self._hi[n] + self._lo[n] for n in range(self.n_rows + 1)])
+
+
+def _refuse_overfull(mass, what: str):
+    """Raise NumericOverflowError, naming the fullest row, where a closed-form
+    row's sum of squares (one per row in ``mass``) passes 1 + 1e-10."""
+    mass = np.atleast_1d(mass)
+    if mass.max() > 1.0 + 1e-10:
+        row = int(np.argmax(mass))
+        raise NumericOverflowError(f"{what} carries mass {mass[row]:.12g} > 1", index=row)
 
 
 def scaled_hermite_table(kernel: OverlapKernel, n_max: int, m_max: int) -> ScaledHermiteTable:

@@ -2,9 +2,9 @@
 
 Nodes come from the symmetric tridiagonal Jacobi matrix and are then
 Newton-polished on the Hermite-function recurrence; weights follow from
-the Christoffel sum of the same pass.  Everything is evaluated through
-scaled Hermite functions so rules stay generatable far past the order
-where raw polynomial values or bare Gaussians would leave double range.
+the Christoffel sum of the same pass.  Both read the rescaled levels of
+:func:`selfoc.hermite._ladder`, so rules stay generatable far past the
+order where raw polynomial values or bare Gaussians leave double range.
 
 scipy (for the tridiagonal eigensolver) is loaded when the first rule of
 order >= 2 is built, not when this module is imported, so processes that
@@ -20,42 +20,27 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError
+from .hermite import _RESCALE_BITS, _ladder
 
 MAX_ORDER = 2048
 SQRT_PI = math.sqrt(math.pi)
 
-_RESCALE_AT = 1e150
-_RESCALE_BY = 2.0 ** -512
-_RESCALE_LOG = 512.0 * math.log(2.0)
-
 
 def _scaled_pass(order: int, x: np.ndarray):
-    """One sweep of the Hermite-function recurrence at the points ``x``.
-
-    Works on rescaled values f_k (true function = f_k * common factor *
-    exp(logscale)); returns (f_order, f_{order-1}, sum_{k<order} f_k^2,
-    logscale).  Ratios and the weight formula are scale-free, so the
-    common factor never needs to be formed.  This is the recurrence of
-    :func:`selfoc.hermite._ladder`, kept as its own loop because the
-    rule's bits depend on its mid-sweep rescaling.
-    """
-    f_prev = np.ones_like(x)
-    logscale = np.zeros_like(x)
-    s = np.ones_like(x)  # f_0^2
-    f_cur = math.sqrt(2.0) * x * f_prev
-    for k in range(1, order):
-        s = s + f_cur * f_cur
-        f_prev, f_cur = f_cur, (
-            math.sqrt(2.0 / (k + 1)) * x * f_cur - math.sqrt(k / (k + 1)) * f_prev
-        )
-        big = np.abs(f_cur) > _RESCALE_AT
-        if big.any():
-            factor = np.where(big, _RESCALE_BY, 1.0)
-            f_prev = f_prev * factor
-            f_cur = f_cur * factor
-            s = s * factor * factor
-            logscale = logscale + np.where(big, _RESCALE_LOG, 0.0)
-    return f_cur, f_prev, s, logscale
+    """One sweep of :func:`selfoc.hermite._ladder` at the points ``x``:
+    (f_order, f_{order-1}, sum_{k<order} f_k^2, logscale), the middle two
+    rescaled with f_order by the same exact factors.  The true function is
+    f_k * common factor * exp(logscale); ratios and the weight formula are
+    scale-free, so that factor is never formed."""
+    levels = _ladder(x, np.ones_like(x))
+    (f, e), s = next(levels), 0.0
+    for _ in range(order):
+        s, f_below, e_below = s + f * f, f, e
+        f, e = next(levels)
+        if e is not e_below:
+            factor = np.ldexp(1.0, _RESCALE_BITS * (e_below - e))
+            s, f_below = s * factor * factor, f_below * factor
+    return f, f_below, s, e * _RESCALE_BITS * math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -145,6 +145,13 @@ class TestExitCodes:
         assert code == 4
         assert "numeric failure" in err
 
+    def test_overfull_spectrum_is_4(self, capsys):
+        # the row recurrence fails at ratio 3, D 9, n 200: refused, not printed
+        code, out, err = invoke(capsys, "spectrum1d", "--ratio", "3", "--D", "9", "--n", "200")
+        assert code == 4
+        assert out == ""
+        assert "mass" in err
+
     def test_mixed_parameterizations_rejected(self, capsys):
         code, _, err = invoke(capsys, "spectrum1d", "--ratio", "3", "--omega", "1")
         assert code == 2

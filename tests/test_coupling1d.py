@@ -137,6 +137,15 @@ class TestSpectrum:
         assert partial.captured_mass < 1.0 - 1e-8
         assert info.value.captured_mass == partial.captured_mass
 
+    @pytest.mark.parametrize(
+        "ratio,D,n", [(3.0, 9.0, 200), (2.0, 900.0, 40), (2.371, 486.0, 31), (3.026, 792.2, 32)]
+    )
+    def test_overfull_row_refused(self, ratio, D, n):
+        # the row recurrence fails here: at the parent these spectra came
+        # back with captured mass 1.2075, 1.1532, 1.2995 and 1.1233
+        with pytest.raises(NumericOverflowError, match="mass"):
+            spectrum1d(transition(1.0, ratio, math.sqrt(D), n))
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5])
     def test_bad_epsilon(self, eps):
         with pytest.raises(ValueError):
@@ -228,6 +237,13 @@ class TestCouplingMatrix:
         minus = coupling_matrix(OscillatorFrame(1.0), OscillatorFrame(2.0, -1.5), 8, 12)
         signs = (-1.0) ** (np.arange(9)[:, None] + np.arange(13)[None, :])
         assert np.array_equal(plus.values, signs * minus.values)
+
+    def test_overfull_row_refused(self):
+        # ratio 2, D 900: rows from 36 on pass unit mass by n' 600, and the
+        # fullest, row 40, carries 1.5e8
+        with pytest.raises(NumericOverflowError, match="mass") as info:
+            coupling_matrix(OscillatorFrame(1.0), OscillatorFrame(2.0, 30.0), 40, 600)
+        assert info.value.index == 40
 
     def test_warns_on_truncated_rows(self):
         with pytest.warns(RuntimeWarning):

@@ -9,6 +9,7 @@ import pytest
 from selfoc import (
     CouplingTensor,
     NotPositiveDefiniteError,
+    NumericOverflowError,
     OscillatorFrame,
     PartialTensorError,
     Transition1D,
@@ -135,6 +136,13 @@ class TestSpectrum2DSeparable:
         src, tgt = separable_pair()
         ten = spectrum2d_separable(src, tgt, 0, 0, epsilon=1e-6)
         assert 1.0 - 1e-6 <= ten.captured_mass <= 1.0 + 1e-12
+
+    def test_overfull_channel_refused(self):
+        # the x channel is the 1D row-recurrence failure at ratio 2, D 900, n 40
+        src, tgt = Waveguide2D(1.0, 1.0), Waveguide2D(2.0, 3.0, center=(30.0, 0.0))
+        with pytest.raises(NumericOverflowError, match="mass") as info:
+            spectrum2d_separable(src, tgt, 40, 0)
+        assert info.value.index == 0
 
     def test_rejects_coupled_input(self):
         src = Waveguide2D(1.0, 1.0, 0.5)

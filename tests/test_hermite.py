@@ -105,6 +105,17 @@ class TestHermiteScaled:
         assert digest.hexdigest() == HERMITE_SCALED_SHA256
 
 
+    @pytest.mark.parametrize(
+        "n,expected", [(714, 1.0026604431227648e308), (721, 1.0849497179390723e308)]
+    )
+    def test_finite_past_intermediate_overflow(self, n, expected):
+        # mpmath values; an unscaled ladder overflows on the way (inf, NaN)
+        xi = 37.683665396080485
+        assert hermite_scaled(n, xi) == pytest.approx(expected, rel=1e-12)
+        vals = hermite_scaled(n, np.array([xi, -xi]))
+        assert vals == pytest.approx([expected, (-1) ** n * expected], rel=1e-12)
+
+
 class TestOscillatorFrame:
     def test_length(self):
         assert OscillatorFrame(4.0).length == 0.5
@@ -156,6 +167,17 @@ class TestOscillatorPsi:
             scale=l,
         )
         assert norm == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "x,expected",
+        [(38.0, 0.16414681105921246), (40.0, 0.17225052073279227), (45.0, 0.071197481576578756)],
+    )
+    def test_deep_gaussian_start(self, x, expected):
+        # mpmath values inside the turning point 44.7 of n = 1000 (45 is
+        # just past it), where exp(-x^2/2) is subnormal or 0
+        frame = OscillatorFrame(1.0)
+        assert oscillator_psi(x, 1000, frame) == pytest.approx(expected, rel=1e-12)
+        assert oscillator_psi(np.array([-x]), 1000, frame)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_explicit_formula_small_n(self):
         frame = OscillatorFrame(2.0, 0.5)
