@@ -256,7 +256,7 @@ def _mode_factors(w: Waveguide2D):
 def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
     """hermite_scaled(k, xi) for k = 0..n_top, stacked on axis 0."""
     out = np.empty((n_top + 1,) + xi.shape)
-    for row, (level, e) in zip(out, _ladder(xi, np.ones_like(xi))):
+    for row, (level, e) in zip(out, _ladder(xi)):
         row[...] = level if isinstance(e, int) else np.ldexp(level, _RESCALE_BITS * e)
     return out
 
@@ -313,15 +313,20 @@ def _coupled_block(
     )
     jac = 2.0 / math.sqrt(evals[0] * evals[1])
     weight = rule.weights[:, None] * rule.weights[None, :] * src
-    g = weight.reshape(-1)
     m1 = stack1.reshape(top1 + 1, -1)
     m2 = stack2.reshape(top2 + 1, -1)
-    block = norm * jac * math.exp(-c0) * ((m1 * g) @ m2.T)
+    # the weights go in place into the smaller stack: two stacks, not three
+    smaller = m1 if top1 <= top2 else m2
+    smaller *= weight.reshape(-1)
+    return norm * jac * math.exp(-c0) * (m1 @ m2.T)
+
+
+def _refuse_nonfinite(block: np.ndarray):
     if not np.isfinite(block).all():
+        top1, top2 = (k - 1 for k in block.shape)
         raise NumericOverflowError(
             f"coupled amplitude block up to ({top1}, {top2}) is not finite"
         )
-    return block
 
 
 def overlap_coupled(
@@ -343,7 +348,71 @@ def overlap_coupled(
     n1_prime = check_mode_index(n1_prime, "n1_prime")
     n2_prime = check_mode_index(n2_prime, "n2_prime")
     block = _coupled_block(source, target, n_x, n_y, n1_prime, n2_prime)
+    _refuse_nonfinite(block)
     return float(block[n1_prime, n2_prime])
+
+
+def _target_mode_moments(
+    source: Waveguide2D, target: Waveguide2D, n_x: int, n_y: int
+) -> list:
+    """(mean, variance) of each target normal-mode index (plus, minus) for
+    the source state (n_x, n_y) on its own normal modes; the 2D analogue of
+    :func:`selfoc.coupling1d._n_prime_moments`, exact for the Fock state.
+
+    Along target axis f_j (frequency Omega, source offset mu),
+    N + 1/2 = (Omega v^2 + pi^2 / Omega) / 2 with v = f_j.(r - c_t), so
+    <N> = (Omega (<v^2> + mu^2) + <pi^2> / Omega) / 2 - 1/2 over the source
+    covariance.  In the ladder operators a_k of the source modes (axes e_k,
+    r_k = f_j.e_k, s_k = sqrt(Omega_k)), N is sum A_kl a_k^+ a_l +
+    (B_kl a_k^+ a_l^+ + h.c.) / 2 + sum L_k (a_k^+ + a_k) + const with
+    A, B = r_k r_l (Omega / (s_k s_l) +- s_k s_l / Omega) / 2 and
+    L_k = Omega mu r_k / (sqrt(2) s_k).  Each term off the diagonal moves
+    |n_1, n_2> to its own neighbour, so Var N is the sum of their squared
+    norms.  Python floats: values out of double range come back inf or NaN.
+    """
+    nm_s, nm_t = normal_modes(source), normal_modes(target)
+    s = [math.sqrt(w) for w in nm_s.frequencies]
+    shift = [cs - ct for cs, ct in zip(source.center, target.center)]
+    n1, n2 = n_x, n_y
+    out = []
+    for omega, f in zip(nm_t.frequencies, nm_t.axes.tolist()):
+        r = [f[0] * e[0] + f[1] * e[1] for e in nm_s.axes.tolist()]
+        mu = f[0] * shift[0] + f[1] * shift[1]
+
+        def a_b(k, l):
+            p, q = omega / s[k] / s[l], s[k] * s[l] / omega
+            return r[k] * r[l] * (p + q) / 2.0, r[k] * r[l] * (p - q) / 2.0
+
+        try:
+            (a11, b11), (a22, b22), (a12, b12) = a_b(0, 0), a_b(1, 1), a_b(0, 1)
+            l1, l2 = (omega * mu * r[k] / (math.sqrt(2.0) * s[k]) for k in (0, 1))
+        except ZeroDivisionError:
+            out.append((math.nan, math.nan))
+            continue
+        mean = a11 * (n1 + 0.5) + a22 * (n2 + 0.5) + omega * mu * mu / 2.0 - 0.5
+        var = (
+            a12 * a12 * (2 * n1 * n2 + n1 + n2)
+            + b12 * b12 * (2 * n1 * n2 + n1 + n2 + 1)
+            + (b11 * b11 * (n1 * n1 + n1 + 1) + b22 * b22 * (n2 * n2 + n2 + 1)) / 2.0
+            + l1 * l1 * (2 * n1 + 1)
+            + l2 * l2 * (2 * n2 + 1)
+        )
+        out.append((mean, var))
+    return out
+
+
+def _first_block(source, target, n_x, n_y, step, cap) -> list:
+    """Block extents for :func:`coupled_tensor` to compute ahead: mean + 4
+    sigma + 12 of each target index, rounded up to ``step`` and held to
+    ``cap``; ``min(step, cap)``, the growth's start, where the moments leave
+    double range.  The squeezed, skewed index distributions reach their
+    1e-6 tails some 6 sigma out, so a margin of 8 left a third of the
+    coupled-entropy requests to rebuild, and 16 oversized the rest."""
+    tops = []
+    for mean, var in _target_mode_moments(source, target, n_x, n_y):
+        edge = mean + 4.0 * math.sqrt(var) + 12.0
+        tops.append(min(step * math.ceil(edge / step), cap) if math.isfinite(edge) else min(step, cap))
+    return tops
 
 
 def coupled_tensor(
@@ -357,25 +426,40 @@ def coupled_tensor(
     """Grow the rectangle of coupled amplitudes to the target mass.
 
     The side whose outermost row/column still carries more probability is
-    expanded first.  The default cap is deliberately modest: quadrature
-    cost rises quadratically with the rectangle edge.
+    expanded first, 8 indices at a time; edge tails within 1e-12 of each
+    other are a tie, which the first side wins.  The growth is replayed on
+    leading sub-blocks of one block computed ahead to where the moments of
+    the target indices say the mass ends (``_first_block``); a step past
+    that block rebuilds it 16 indices past the edge asked for.  The default
+    cap is deliberately modest: quadrature cost rises quadratically with
+    the rectangle edge.
     """
     n_x = check_mode_index(n_x, "n_x")
     n_y = check_mode_index(n_y, "n_y")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     cap = check_mode_index(cap, "cap")
+    step = 8
+    ahead = _first_block(source, target, n_x, n_y, step, cap)
+    block = None
 
     def evaluate(tops):
-        values = _coupled_block(source, target, n_x, n_y, *tops)
+        nonlocal ahead, block
+        if block is None or tops[0] > ahead[0] or tops[1] > ahead[1]:
+            ahead = [a if t <= a else min(t + 2 * step, cap) for t, a in zip(tops, ahead)]
+            block = _coupled_block(source, target, n_x, n_y, *ahead)
+        values = block[: tops[0] + 1, : tops[1] + 1]
+        _refuse_nonfinite(values)
         prob = values * values
         tails = (float(prob[-1, :].sum()), float(prob[:, -1].sum()))
+        if tails[1] - tails[0] <= 1e-12 * tails[1]:
+            tails = (tails[1], tails[1])
         return values, float(prob.sum()), tails
 
     target_mass = 1.0 - epsilon
-    values, mass = _grow_rectangle(evaluate, 8, cap, target_mass)
+    values, mass = _grow_rectangle(evaluate, step, cap, target_mass)
     tensor = CouplingTensor(
-        values=values, captured_mass=mass, initial=(n_x, n_y), epsilon=epsilon
+        values=values.copy(), captured_mass=mass, initial=(n_x, n_y), epsilon=epsilon
     )
     if not mass >= target_mass:
         raise PartialTensorError(

@@ -78,17 +78,22 @@ def hermite_phys(n: int, xi):
     return h_cur if h_cur.ndim else float(h_cur)
 
 
-def _ladder(xi, phi0, e=0):
+def _ladder(xi, phi0=None, e=0):
     """Yield (phi_k, e) of phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1))
-    phi_{k-1} from phi_0 = phi0, phi_{-1} = 0; the true level is ldexp(phi_k,
-    512 e).  Each level is a fresh array computed in place with the formula's
-    IEEE operations, phi_{k-1} scaled before it is allocated.  A level passing
-    1e150 is scaled with the one below by 2**-512 there and e goes up by 1
-    (e is rebound only then): exact, so finite levels keep their bits.  No
-    level passes 1.0865 max|phi0| exp(max xi^2/2) (Cramer, A&S 22.14.17)."""
+    phi_{k-1} from phi_0 = phi0 (ones if None), phi_{-1} = 0; the true level
+    is ldexp(phi_k, 512 e).  Each level is a fresh array computed in place
+    with the formula's IEEE operations, phi_{k-1} scaled before it is
+    allocated.  A level passing 1e150 is scaled with the one below by 2**-512
+    there and e goes up by 1 (e is rebound only then): exact, so finite levels
+    keep their bits.  No level passes 1.0865 max|phi0| exp(max xi^2/2)
+    (Cramer, A&S 22.14.17)."""
+    if phi0 is None:
+        phi0, peak = np.ones_like(xi), 1.0
+    else:
+        peak = np.abs(phi0).max(initial=1e-300)
     yield phi0, e
     prev, cur = 0.0, phi0
-    top, peak = float(np.abs(xi).max(initial=0.0)), np.abs(phi0).max(initial=1e-300)
+    top = float(np.abs(xi).max(initial=0.0))
     rescale = not 0.5 * top * top + math.log(peak) <= math.log(_RESCALE_AT / 1.0865)
     for k in count():
         prev = math.sqrt(k / (k + 1)) * prev
@@ -103,10 +108,11 @@ def _ladder(xi, phi0, e=0):
         yield cur, e
 
 
-def _level(n: int, xi, phi0, e=0):
+def _level(n: int, xi, phi0=None, e=0):
     """Level n of :func:`_ladder` with its scale undone; a float for scalar input."""
     phi, e = next(islice(_ladder(xi, phi0, e), n, None))
-    phi = np.ldexp(phi, _RESCALE_BITS * e)
+    if not isinstance(e, int):  # an int e is the start's 0: nothing was scaled
+        phi = np.ldexp(phi, _RESCALE_BITS * e)
     return phi if phi.ndim else float(phi)
 
 
@@ -119,7 +125,7 @@ def hermite_scaled(n: int, xi):
     """
     n = check_mode_index(n)
     xi = np.asarray(xi, dtype=float)
-    return _level(n, xi, np.ones_like(xi))
+    return _level(n, xi)
 
 
 def oscillator_psi(x, n: int, frame: OscillatorFrame):

@@ -32,7 +32,7 @@ def _scaled_pass(order: int, x: np.ndarray):
     rescaled with f_order by the same exact factors.  The true function is
     f_k * common factor * exp(logscale); ratios and the weight formula are
     scale-free, so that factor is never formed."""
-    levels = _ladder(x, np.ones_like(x))
+    levels = _ladder(x)
     (f, e), s = next(levels), 0.0
     for _ in range(order):
         s, f_below, e_below = s + f * f, f, e

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import selfoc.coupling2d as coupling2d
 from selfoc import (
     CouplingTensor,
     NotPositiveDefiniteError,
@@ -21,6 +22,8 @@ from selfoc import (
     schmidt_report,
     spectrum2d_separable,
 )
+from selfoc.coupling1d import _n_prime_moments
+from selfoc.coupling2d import _first_block, _target_mode_moments
 
 
 class TestWaveguide2D:
@@ -407,3 +410,142 @@ class TestGrowthPinned:
             tensor.captured_mass, want["captured_mass"], rtol=1e-12, atol=0.0
         )
         np.testing.assert_allclose(tensor.values, want["values"], rtol=1e-12, atol=1e-13)
+
+
+def rebuild_reference(source, target, n_x, n_y, epsilon, cap):
+    """The coupled growth loop before compute-ahead: a new block, at the
+    exact rectangle, for every step.  Returns (values, mass, partial).
+
+    It takes the near-tie rule of the replay: at an exact symmetry the
+    loop without it followed round-off, and symmetric-tie came out 41 x 33
+    with one BLAS thread and 33 x 41 with two."""
+
+    def evaluate(tops):
+        values = coupling2d._coupled_block(source, target, n_x, n_y, *tops)
+        if not np.isfinite(values).all():
+            raise NumericOverflowError("coupled amplitude block is not finite")
+        prob = values * values
+        tails = (float(prob[-1, :].sum()), float(prob[:, -1].sum()))
+        if tails[1] - tails[0] <= 1e-12 * tails[1]:
+            tails = (tails[1], tails[1])
+        return values, float(prob.sum()), tails
+
+    tops = [min(8, cap)] * 2
+    while True:
+        values, mass, tails = evaluate(tops)
+        side = 0 if tails[0] >= tails[1] else 1
+        if tops[side] >= cap:
+            side = 1 - side
+        if mass >= 1.0 - epsilon or tops[side] >= cap:
+            return values, mass, not mass >= 1.0 - epsilon
+        tops[side] = min(tops[side] + 8, cap)
+
+
+def seeded_coupled_requests(count=40):
+    """Cross-coupled requests like the coupled-entropy workload's; every
+    fourth source is cross-coupled too, and every fifth capped at 24."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for i in range(count):
+        rx, ry = rng.uniform(1.5, 2.5, size=2)
+        center = tuple(np.sqrt(rng.uniform(0.0, 5.0, size=2)))
+        target = Waveguide2D(rx, ry, 2.0 * rng.uniform(-0.4, 0.4) * rx * ry, center)
+        gamma = 2.0 * rng.uniform(-0.3, 0.3) if i % 4 == 0 else 0.0
+        source = Waveguide2D(1.0, 1.0, gamma)
+        n_x, n_y = (int(k) for k in rng.integers(0, 3, size=2))
+        out.append((source, target, n_x, n_y, 1e-6, 24 if i % 5 == 0 else 256))
+    return out
+
+
+class TestCoupledReplay:
+    @pytest.mark.parametrize(
+        "request_",
+        list(PINNED_REQUESTS.values()) + seeded_coupled_requests(),
+        ids=list(PINNED_REQUESTS) + [f"seeded-{i}" for i in range(40)],
+    )
+    def test_matches_rebuild_loop(self, monkeypatch, request_):
+        calls = []
+        block = coupling2d._coupled_block
+
+        def counted(*args):
+            calls.append(args[4:])
+            return block(*args)
+
+        monkeypatch.setattr(coupling2d, "_coupled_block", counted)
+        want, want_mass, want_partial = rebuild_reference(*request_)
+        reference_builds = len(calls)
+        del calls[:]
+        try:
+            tensor, partial = coupled_tensor(*request_), False
+        except PartialTensorError as err:
+            tensor, partial = err.tensor, True
+        assert tensor.values.shape == want.shape
+        assert partial == want_partial
+        np.testing.assert_allclose(tensor.values, want, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(tensor.captured_mass, want_mass, rtol=1e-12)
+        assert len(calls) <= reference_builds
+        assert tensor.values.base is None  # a copy, not a view of the block
+
+    def test_symmetric_tie_goes_to_the_first_side(self):
+        # the tails at (8, 8), (16, 16), ... agree to round-off only; the
+        # separable path, whose tails tie exactly, grows side 0 there too
+        tensor = coupled_tensor(*PINNED_REQUESTS["symmetric-tie"])
+        assert tensor.values.shape == (41, 33)
+
+
+def uncoupled_transitions(source, target, n_x, n_y):
+    axes = zip(_channel_frames_of(source), _channel_frames_of(target), (n_x, n_y))
+    return [Transition1D(s, t, n) for s, t, n in axes]
+
+
+def _channel_frames_of(w):
+    return OscillatorFrame(w.omega_x, w.center[0]), OscillatorFrame(w.omega_y, w.center[1])
+
+
+class TestTargetModeMoments:
+    @pytest.mark.parametrize("n_x,n_y", [(0, 0), (1, 0), (2, 3), (5, 1), (40, 7)])
+    def test_uncoupled_pair_matches_1d_moments(self, n_x, n_y):
+        source = Waveguide2D(1.3, 0.8, 0.0, (0.5, -1.0))
+        target = Waveguide2D(2.0, 3.5, 0.0, (2.0, 1.5))
+        moments = _target_mode_moments(source, target, n_x, n_y)
+        for (mean, var), t in zip(moments, uncoupled_transitions(source, target, n_x, n_y)):
+            want_mean, want_var = _n_prime_moments(t)
+            assert mean == pytest.approx(want_mean, rel=1e-13)
+            # the exact Fock variance, not the larger one of a Gaussian
+            # state with the same covariance
+            assert var == pytest.approx(want_var, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "source,n_x,n_y",
+        [
+            (Waveguide2D(1.0, 1.3), 0, 0),
+            (Waveguide2D(1.0, 1.3, 0.7, (0.3, -0.2)), 2, 1),
+            (Waveguide2D(1.2, 0.9, -0.5), 0, 3),
+        ],
+    )
+    def test_complete_coupled_tensor_moments(self, source, n_x, n_y):
+        target = Waveguide2D(2.0, 3.0, 1.0, (1.0, 0.5))
+        tensor = coupled_tensor(source, target, n_x, n_y, epsilon=1e-12)
+        moments = _target_mode_moments(source, target, n_x, n_y)
+        prob = tensor.probability
+        for (mean, var), marginal in zip(moments, (prob.sum(axis=1), prob.sum(axis=0))):
+            k = np.arange(len(marginal))
+            got_mean = k @ marginal
+            assert got_mean == pytest.approx(mean, rel=1e-9)
+            assert (k - got_mean) ** 2 @ marginal == pytest.approx(var, rel=1e-9)
+
+    def test_first_block_rounds_to_the_step_and_cap(self):
+        source = Waveguide2D(1.0, 1.0)
+        target = Waveguide2D(2.5, 2.5, 5.0, (5.0, 5.0))
+        moments = _target_mode_moments(source, target, 2, 2)
+        want = [8 * math.ceil((mean + 4.0 * math.sqrt(var) + 12.0) / 8) for mean, var in moments]
+        assert _first_block(source, target, 2, 2, 8, 256) == want
+        assert _first_block(source, target, 2, 2, 8, 100) == [min(w, 100) for w in want]
+
+    def test_overflowing_moments_fall_back_to_the_start(self):
+        source, target = Waveguide2D(1.0, 1.0), Waveguide2D(1e300, 2.0, 1.0)
+        with np.errstate(all="ignore"):
+            assert _first_block(source, target, 0, 0, 8, 16) == [8, 8]
+            assert _first_block(source, target, 0, 0, 8, 4) == [4, 4]
+            with pytest.raises(NumericOverflowError, match=r"up to \(8, 8\) is not finite"):
+                coupled_tensor(source, target, 0, 0, 1e-8, 16)
