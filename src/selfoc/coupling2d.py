@@ -274,7 +274,8 @@ def _coupled_block(
     Tensor Gauss-Hermite in the frame diagonalizing the combined Gaussian
     envelope of the four-factor product; every factor is a 1D oscillator
     function along its own normal axis, evaluated via the scaled-Hermite
-    split so the Gaussian bookkeeping stays exact.
+    split so the Gaussian bookkeeping stays exact.  Callers refuse the part
+    they read if it is not finite (``_refuse_nonfinite``).
     """
     nm_s, a_s = _mode_factors(source)
     nm_t, a_t = _mode_factors(target)

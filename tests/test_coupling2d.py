@@ -494,12 +494,8 @@ class TestCoupledReplay:
 
 
 def uncoupled_transitions(source, target, n_x, n_y):
-    axes = zip(_channel_frames_of(source), _channel_frames_of(target), (n_x, n_y))
-    return [Transition1D(s, t, n) for s, t, n in axes]
-
-
-def _channel_frames_of(w):
-    return OscillatorFrame(w.omega_x, w.center[0]), OscillatorFrame(w.omega_y, w.center[1])
+    frames = zip(coupling2d._channel_frames(source), coupling2d._channel_frames(target))
+    return [Transition1D(s, t, n) for (s, t), n in zip(frames, (n_x, n_y))]
 
 
 class TestTargetModeMoments:
