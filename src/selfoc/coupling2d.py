@@ -357,19 +357,17 @@ def _target_mode_moments(
     source: Waveguide2D, target: Waveguide2D, n_x: int, n_y: int
 ) -> list:
     """(mean, variance) of each target normal-mode index (plus, minus) for
-    the source state (n_x, n_y) on its own normal modes; the 2D analogue of
-    :func:`selfoc.coupling1d._n_prime_moments`, exact for the Fock state.
+    the source Fock state (n_x, n_y) on its normal modes, exact; the 2D
+    analogue of :func:`selfoc.coupling1d._n_prime_moments`.
 
-    Along target axis f_j (frequency Omega, source offset mu),
-    N + 1/2 = (Omega v^2 + pi^2 / Omega) / 2 with v = f_j.(r - c_t), so
-    <N> = (Omega (<v^2> + mu^2) + <pi^2> / Omega) / 2 - 1/2 over the source
-    covariance.  In the ladder operators a_k of the source modes (axes e_k,
-    r_k = f_j.e_k, s_k = sqrt(Omega_k)), N is sum A_kl a_k^+ a_l +
+    Along target axis f (frequency Omega, source offset mu), N + 1/2 =
+    (Omega v^2 + pi^2 / Omega) / 2 is, in the source ladder operators a_k
+    (axes e_k, s_k = sqrt(Omega_k), r_k = f.e_k), sum A_kl a_k^+ a_l +
     (B_kl a_k^+ a_l^+ + h.c.) / 2 + sum L_k (a_k^+ + a_k) + const with
-    A, B = r_k r_l (Omega / (s_k s_l) +- s_k s_l / Omega) / 2 and
-    L_k = Omega mu r_k / (sqrt(2) s_k).  Each term off the diagonal moves
-    |n_1, n_2> to its own neighbour, so Var N is the sum of their squared
-    norms.  Python floats: values out of double range come back inf or NaN.
+    A, B = r_k r_l (Omega / (s_k s_l) +- s_k s_l / Omega) / 2 and L_k =
+    Omega mu r_k / (sqrt(2) s_k).  Each off-diagonal term moves the state to
+    its own neighbour, so Var N is the sum of their squared norms.  Python
+    floats: values out of double range come back inf or NaN.
     """
     nm_s, nm_t = normal_modes(source), normal_modes(target)
     s = [math.sqrt(w) for w in nm_s.frequencies]
@@ -406,9 +404,8 @@ def _first_block(source, target, n_x, n_y, step, cap) -> list:
     """Block extents for :func:`coupled_tensor` to compute ahead: mean + 4
     sigma + 12 of each target index, rounded up to ``step`` and held to
     ``cap``; ``min(step, cap)``, the growth's start, where the moments leave
-    double range.  The squeezed, skewed index distributions reach their
-    1e-6 tails some 6 sigma out, so a margin of 8 left a third of the
-    coupled-entropy requests to rebuild, and 16 oversized the rest."""
+    double range.  The skewed index distributions reach their 1e-6 tails
+    about 6 sigma out: a margin of 8 rebuilt a third of the blocks."""
     tops = []
     for mean, var in _target_mode_moments(source, target, n_x, n_y):
         edge = mean + 4.0 * math.sqrt(var) + 12.0

@@ -486,6 +486,17 @@ class TestCoupledReplay:
         assert len(calls) <= reference_builds
         assert tensor.values.base is None  # a copy, not a view of the block
 
+    def test_near_tie_goes_to_the_first_side(self, monkeypatch):
+        # amplitudes 2^-(k1+k2+2)/2 (1 + 1e-14 k2): the second side's edge
+        # tail is larger, by round-off, at every square rectangle
+        def block(source, target, n_x, n_y, top1, top2):
+            k1, k2 = np.ogrid[: top1 + 1, : top2 + 1]
+            return 0.5 * math.sqrt(0.5) ** (k1 + k2) * (1.0 + 1e-14 * k2)
+
+        monkeypatch.setattr(coupling2d, "_coupled_block", block)
+        w = Waveguide2D(1.0, 1.0)
+        assert coupled_tensor(w, w, 0, 0, epsilon=1e-5).values.shape == (25, 17)
+
     def test_symmetric_tie_goes_to_the_first_side(self):
         # the tails at (8, 8), (16, 16), ... agree to round-off only; the
         # separable path, whose tails tie exactly, grows side 0 there too
