@@ -18,6 +18,7 @@ from selfoc import (
     oscillator_psi,
     scaled_hermite_table,
 )
+from selfoc import _dd as dd
 from selfoc.hermite import _FILL_BLOCK, _TableBuilder
 
 
@@ -338,3 +339,150 @@ class TestTableChunking:
         for k in range(n + 1):
             assert np.array_equal(grown._hi[k], once._hi[k])
             assert np.array_equal(grown._lo[k], once._lo[k])
+
+
+class _ReferenceFill:
+    """The table fill as it was before the one-loop row-0 kernel: every
+    double-double operation a ``_dd`` call, row 0 included, and the index
+    factors rebuilt per table.  Kept here only as the bit-for-bit reference
+    of ``_TableBuilder``."""
+
+    def __init__(self, kernel, n_rows):
+        self.c = kernel.coeffs
+        self.n_rows = n_rows
+        self.m = -1
+        self.hi = [np.empty(0) for _ in range(n_rows + 1)]
+        self.lo = [np.empty(0) for _ in range(n_rows + 1)]
+        self.sq = (np.empty(0), np.empty(0))
+        self.inv = (np.empty(0), np.empty(0))
+
+    def _factors(self, m_new):
+        k0 = len(self.sq[0])
+        if m_new + 1 <= k0:
+            return
+        k = np.arange(k0, m_new + 1, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sq = dd.sqrt(dd.from_float(k / 2.0))
+        if k0 == 0:
+            sq = (np.where(k == 0.0, 0.0, sq[0]), np.where(k == 0.0, 0.0, sq[1]))
+        inv = dd.div(dd.from_float(np.ones_like(k)), dd.sqrt(dd.from_float(2.0 * (k + 1.0))))
+        self.sq = tuple(np.concatenate([a, b]) for a, b in zip(self.sq, sq))
+        self.inv = tuple(np.concatenate([a, b]) for a, b in zip(self.inv, inv))
+
+    def extend(self, m_new):
+        with np.errstate(over="ignore", invalid="ignore"):
+            while self.m < m_new:
+                self._extend(min(m_new, self.m + _FILL_BLOCK))
+
+    def _extend(self, m_new):
+        self._factors(max(m_new, self.n_rows) + 1)
+        c, m_old = self.c, self.m
+        hi0, lo0 = self.hi[0], self.lo[0]
+        if m_old < 0:
+            prev, cur, new = None, (1.0, 0.0), [(1.0, 0.0)]
+            m_old = 0
+        else:
+            prev = (float(hi0[m_old - 1]), float(lo0[m_old - 1])) if m_old >= 1 else None
+            cur, new = (float(hi0[m_old]), float(lo0[m_old])), []
+        ry2 = (float(c.ry2[0]), float(c.ry2[1]))
+        r22 = (float(c.r22[0]), float(c.r22[1]))
+        sq = zip(self.sq[0][m_old:m_new].tolist(), self.sq[1][m_old:m_new].tolist())
+        inv = zip(self.inv[0][m_old:m_new].tolist(), self.inv[1][m_old:m_new].tolist())
+        for sq_m, inv_m in zip(sq, inv):
+            acc = dd.mul(ry2, cur)
+            if prev is not None:
+                acc = dd.sub(acc, dd.mul(dd.mul(r22, prev), sq_m))
+            prev, cur = cur, dd.mul(acc, inv_m)
+            new.append(cur)
+        new_hi, new_lo = zip(*new)
+        self.hi[0] = np.concatenate([hi0, new_hi])
+        self.lo[0] = np.concatenate([lo0, new_lo])
+
+        lo_col = self.m + 1 if self.m >= 0 else 0
+        sl = slice(lo_col, m_new + 1)
+        sq_m = (self.sq[0][sl], self.sq[1][sl])
+        for n in range(1, self.n_rows + 1):
+            prev = (self.hi[n - 1][sl], self.lo[n - 1][sl])
+            if lo_col == 0:
+                shifted = (np.concatenate([[0.0], self.hi[n - 1][lo_col:m_new]]),
+                           np.concatenate([[0.0], self.lo[n - 1][lo_col:m_new]]))
+            else:
+                shifted = (self.hi[n - 1][lo_col - 1:m_new], self.lo[n - 1][lo_col - 1:m_new])
+            acc = dd.mul(c.ry1, prev)
+            if n >= 2:
+                below = (self.hi[n - 2][sl], self.lo[n - 2][sl])
+                t = dd.mul(dd.mul(c.r11, below), (self.sq[0][n - 1], self.sq[1][n - 1]))
+                acc = dd.sub(acc, t)
+            acc = dd.sub(acc, dd.mul(dd.mul(c.r12, shifted), sq_m))
+            val = dd.mul(acc, (self.inv[0][n - 1], self.inv[1][n - 1]))
+            self.hi[n] = np.concatenate([self.hi[n][:lo_col], val[0]])
+            self.lo[n] = np.concatenate([self.lo[n][:lo_col], val[1]])
+        self.m = m_new
+
+        for n in range(self.n_rows + 1):
+            bad = ~np.isfinite(self.hi[n])
+            if bad.any():
+                m_bad = int(np.argmax(bad))
+                raise NumericOverflowError(
+                    f"scaled Hermite table overflowed at entry (n={n}, m={m_bad})",
+                    index=(n, m_bad),
+                )
+
+
+def seeded_fill_cases(count=24):
+    """(ratio, D, n, extend steps): ratio 0.3-5, D 0-900, n 0-20, and steps
+    that split the columns irregularly across the fill block."""
+    rng = np.random.default_rng(1010)
+    out = []
+    for i in range(count):
+        ratio = float(rng.uniform(0.3, 5.0))
+        big_d = float(rng.uniform(0.0, 900.0)) if i % 3 else 0.0
+        n = int(rng.integers(0, 21))
+        last = int(rng.integers(40, 1500))
+        steps = sorted({int(s) for s in rng.integers(0, last, size=int(rng.integers(0, 6)))})
+        out.append((ratio, big_d, n, steps + [last]))
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64
+    assert a.tobytes() == b.tobytes()
+
+
+class TestFillBitsPinned:
+    """Every entry of the table, high and low word, equals the plain
+    ``_dd``-call fill bit for bit, however the columns are split."""
+
+    @pytest.mark.parametrize("case", seeded_fill_cases(), ids=lambda c: f"r{c[0]:.2f}-D{c[1]:.0f}-n{c[2]}")
+    def test_matches_dd_call_fill(self, case):
+        ratio, big_d, n, steps = case
+        kernel = build_kernel(OscillatorFrame(1.0), OscillatorFrame(ratio, math.sqrt(big_d)))
+        builder, want = _TableBuilder(kernel, n), _ReferenceFill(kernel, n)
+        for m in steps:
+            builder.extend(m)
+            want.extend(m)
+            assert builder.m == want.m == m
+            for k in range(n + 1):
+                assert_same_bits(builder._hi[k], want.hi[k])
+                assert_same_bits(builder._lo[k], want.lo[k])
+
+    @pytest.mark.parametrize(
+        "ratio,big_d,n,steps",
+        [
+            # exp(-750) prefactor: row 0 passes double range at column 1699
+            (3.0, 2000.0, 0, [1800]),
+            (3.0, 2000.0, 4, [300, 1100, 1800]),
+            # row 6 passes it first, at column 1981
+            (30.0, 5000.0, 20, [1000, 2000]),
+        ],
+    )
+    def test_overflow_index_matches(self, ratio, big_d, n, steps):
+        kernel = build_kernel(OscillatorFrame(1.0), OscillatorFrame(ratio, math.sqrt(big_d)))
+        errors = []
+        for fill in (_TableBuilder(kernel, n), _ReferenceFill(kernel, n)):
+            with pytest.raises(NumericOverflowError) as info:
+                for m in steps:
+                    fill.extend(m)
+            errors.append((info.value.index, str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0][1] > _FILL_BLOCK
