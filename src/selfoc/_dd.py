@@ -34,14 +34,17 @@ def _fast_two_sum(a, b):
     return s, b - (s - a)
 
 
+def split(a):
+    """Dekker split: (high, low) halves of 26 and 27 bits, a = high + low."""
+    t = _SPLIT * a
+    high = t - (t - a)
+    return high, a - high
+
+
 def _two_prod(a, b):
     p = a * b
-    ta = _SPLIT * a
-    ah = ta - (ta - a)
-    al = a - ah
-    tb = _SPLIT * b
-    bh = tb - (tb - b)
-    bl = b - bh
+    ah, al = split(a)
+    bh, bl = split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupling1d import Transition1D, _first_extent
 from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialTensorError
 from .hermite import (
     MODE_INDEX_CAP,
@@ -100,6 +101,11 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
 
     tan(2 theta) = gamma / (wx^2 - wy^2); the normal frequencies are the
     square roots of the form-matrix eigenvalues.
+
+    Raises
+    ------
+    NumericOverflowError
+        A normal frequency is not finite (squares past double range).
     """
     m = w.form_matrix
     if w.gamma == 0.0:
@@ -116,16 +122,20 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
         theta = 0.5 * math.atan(2.0 * b / (a - cc))
     e1 = np.array([math.cos(theta), math.sin(theta)])
     e2 = np.array([-math.sin(theta), math.cos(theta)])
-    lam1 = float(e1 @ m @ e1)
-    lam2 = float(e2 @ m @ e2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam1 = float(e1 @ m @ e1)
+        lam2 = float(e2 @ m @ e2)
     if lam1 >= lam2:
         hi, lo = (lam1, e1), (lam2, e2)
     else:
         hi, lo = (lam2, e2), (lam1, e1)
+    omega_plus, omega_minus = math.sqrt(hi[0]), math.sqrt(lo[0])
+    if not (math.isfinite(omega_plus) and math.isfinite(omega_minus)):
+        raise NumericOverflowError(f"the normal frequencies of {w} are not finite")
     return NormalModes(
         theta=theta,
-        omega_plus=math.sqrt(hi[0]),
-        omega_minus=math.sqrt(lo[0]),
+        omega_plus=omega_plus,
+        omega_minus=omega_minus,
         axes=np.vstack([hi[1], lo[1]]),
     )
 
@@ -203,8 +213,11 @@ def spectrum2d_separable(
     """Product amplitudes for an axis-aligned, uncoupled pair of profiles.
 
     amplitude(nx', ny') = <n_x|nx'>_x * <n_y|ny'>_y.  The index rectangle
-    grows on whichever side still hides the larger marginal tail until
-    the captured mass reaches 1 - epsilon.
+    grows 32 indices at a time on whichever side still hides the larger
+    marginal tail until the captured mass reaches 1 - epsilon.  Each axis's
+    row is filled ahead at once to where its mass should end, the first
+    extent of :func:`selfoc.coupling1d.spectrum1d`, and the growth is
+    replayed on leading parts of the rows; a step past that extent fills on.
     """
     if source.gamma != 0.0 or target.gamma != 0.0:
         raise ValueError("separable spectra require gamma = 0 on both sides")
@@ -214,14 +227,23 @@ def spectrum2d_separable(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     cap = check_mode_index(cap, "cap")
 
-    # one amplitude row per axis, grown 32 columns at a time
-    frames = zip(_channel_frames(source), _channel_frames(target), (n_x, n_y))
-    rows = [_TableBuilder(build_kernel(s, t), n) for s, t, n in frames]
+    rows = []
+    for s, t, n in zip(_channel_frames(source), _channel_frames(target), (n_x, n_y)):
+        kernel = build_kernel(s, t)
+        row = _TableBuilder(kernel, n)
+        try:
+            row.extend(min(cap, _first_extent(Transition1D(s, t, n))))
+        except NumericOverflowError:
+            # maybe past every column the growth reads: it reports overflow
+            # where it reads it, as an unfilled row does
+            row = _TableBuilder(kernel, n)
+        rows.append(row)
 
     def evaluate(tops):
+        amps = []
         for row, top in zip(rows, tops):
             row.extend(top)
-        amps = [row.amplitude for row in rows]
+            amps.append(row.amplitude[: top + 1])
         masses = [float(np.dot(a, a)) for a in amps]
         _refuse_overfull(masses, "a separable channel")
         return amps, masses[0] * masses[1], (1.0 - masses[0], 1.0 - masses[1])

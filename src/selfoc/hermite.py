@@ -9,6 +9,7 @@ ever materialized and entries stay O(1)-ish out to thousands of quanta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import count, islice
@@ -255,15 +256,32 @@ class ScaledHermiteTable:
         return self.h.shape[1] - 1
 
 
+@functools.cache
+def _index_factors():
+    """Double-double sqrt(k/2) and 1/sqrt(2(k+1)) for k = 0..MODE_INDEX_CAP+2
+    as read-only (sq_hi, sq_lo, inv_hi, inv_lo), built once per process on
+    first use: every table reads its index factors from here."""
+    k = np.arange(MODE_INDEX_CAP + 3, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = dd.sqrt(dd.from_float(k / 2.0))
+    inv = dd.div(dd.from_float(np.ones_like(k)), dd.sqrt(dd.from_float(2.0 * (k + 1.0))))
+    factors = (np.where(k == 0.0, 0.0, sq[0]), np.where(k == 0.0, 0.0, sq[1]), *inv)
+    for a in factors:
+        a.setflags(write=False)
+    return factors
+
+
 class _TableBuilder:
     """Incrementally grown scaled table of one kernel in compensated
     arithmetic; carries the kernel's prefactor, so ``amplitude`` is the
     top row as overlap amplitudes.
 
-    Row 0 is filled sequentially along m (three-term recurrence) on Python
-    floats, through the same ``_dd`` operations as the arrays, so its bits
-    are those numpy scalars would give.  Each further row depends only on
-    the two rows below it, so rows vectorize over whole column blocks of at
+    Row 0 is filled sequentially along m (three-term recurrence) in one loop
+    over Python floats that runs the IEEE operations of the ``_dd`` calls
+    in their order, so its bits are those the calls would give; the Dekker
+    splits of the coefficients and index factors are taken once per block,
+    and that of each new entry once.  Each further row depends only on the
+    two rows below it, so rows vectorize over whole column blocks of at
     most ``_FILL_BLOCK`` columns.  Growth is by column blocks so spectra can
     extend their cutoff without recomputation; every entry comes out the
     same however the columns were split into ``extend`` calls.
@@ -276,26 +294,6 @@ class _TableBuilder:
         self.m = -1  # highest filled column
         self._hi = [np.empty(0) for _ in range(n_rows + 1)]
         self._lo = [np.empty(0) for _ in range(n_rows + 1)]
-        # per-index factors sqrt(k/2) and 1/sqrt(2(k+1)), double-double
-        self._sq_hi = np.empty(0)
-        self._sq_lo = np.empty(0)
-        self._inv_hi = np.empty(0)
-        self._inv_lo = np.empty(0)
-
-    def _extend_factors(self, m_new: int):
-        k0 = len(self._sq_hi)
-        if m_new + 1 <= k0:
-            return
-        k = np.arange(k0, m_new + 1, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sq = dd.sqrt(dd.from_float(k / 2.0))
-        if k0 == 0:
-            sq = (np.where(k == 0.0, 0.0, sq[0]), np.where(k == 0.0, 0.0, sq[1]))
-        inv = dd.div(dd.from_float(np.ones_like(k)), dd.sqrt(dd.from_float(2.0 * (k + 1.0))))
-        self._sq_hi = np.concatenate([self._sq_hi, sq[0]])
-        self._sq_lo = np.concatenate([self._sq_lo, sq[1]])
-        self._inv_hi = np.concatenate([self._inv_hi, inv[0]])
-        self._inv_lo = np.concatenate([self._inv_lo, inv[1]])
 
     def extend(self, m_new: int):
         """Fill all rows out to column ``m_new`` (inclusive)."""
@@ -307,37 +305,16 @@ class _TableBuilder:
                 self._extend(min(m_new, self.m + _FILL_BLOCK))
 
     def _extend(self, m_new: int):
-        self._extend_factors(max(m_new, self.n_rows) + 1)
+        sq_hi, sq_lo, inv_hi, inv_lo = _index_factors()
         c = self.c
-        m_old = self.m
-
-        # row 0, sequential in m, on Python floats: the same IEEE operations
-        # in the same order as on numpy scalars, at a fraction of the cost
-        hi0, lo0 = self._hi[0], self._lo[0]
-        if m_old < 0:
-            prev, cur, new = None, (1.0, 0.0), [(1.0, 0.0)]
-            m_old = 0
-        else:
-            prev = (float(hi0[m_old - 1]), float(lo0[m_old - 1])) if m_old >= 1 else None
-            cur, new = (float(hi0[m_old]), float(lo0[m_old])), []
-        ry2 = (float(c.ry2[0]), float(c.ry2[1]))
-        r22 = (float(c.r22[0]), float(c.r22[1]))
-        sq = zip(self._sq_hi[m_old:m_new].tolist(), self._sq_lo[m_old:m_new].tolist())
-        inv = zip(self._inv_hi[m_old:m_new].tolist(), self._inv_lo[m_old:m_new].tolist())
-        for sq_m, inv_m in zip(sq, inv):
-            acc = dd.mul(ry2, cur)
-            if prev is not None:
-                acc = dd.sub(acc, dd.mul(dd.mul(r22, prev), sq_m))
-            prev, cur = cur, dd.mul(acc, inv_m)
-            new.append(cur)
-        new_hi, new_lo = zip(*new)
-        self._hi[0] = np.concatenate([hi0, new_hi])
-        self._lo[0] = np.concatenate([lo0, new_lo])
+        lo_col = self.m + 1
+        new_hi, new_lo = self._row0(m_new)
+        self._hi[0] = np.concatenate([self._hi[0], new_hi])
+        self._lo[0] = np.concatenate([self._lo[0], new_lo])
 
         # rows n >= 1, vectorized over the new column block
-        lo_col = self.m + 1 if self.m >= 0 else 0
         sl = slice(lo_col, m_new + 1)
-        sq_m = (self._sq_hi[sl], self._sq_lo[sl])
+        sq_m = (sq_hi[sl], sq_lo[sl])
         for n in range(1, self.n_rows + 1):
             prev = (self._hi[n - 1][sl], self._lo[n - 1][sl])
             if lo_col == 0:
@@ -349,24 +326,86 @@ class _TableBuilder:
             if n >= 2:
                 below = (self._hi[n - 2][sl], self._lo[n - 2][sl])
                 t = dd.mul(c.r11, below)
-                t = dd.mul(t, (self._sq_hi[n - 1], self._sq_lo[n - 1]))
+                t = dd.mul(t, (sq_hi[n - 1], sq_lo[n - 1]))
                 acc = dd.sub(acc, t)
             t = dd.mul(c.r12, shifted)
             t = dd.mul(t, sq_m)
             acc = dd.sub(acc, t)
-            val = dd.mul(acc, (self._inv_hi[n - 1], self._inv_lo[n - 1]))
+            val = dd.mul(acc, (inv_hi[n - 1], inv_lo[n - 1]))
             self._hi[n] = np.concatenate([self._hi[n][:lo_col], val[0]])
             self._lo[n] = np.concatenate([self._lo[n][:lo_col], val[1]])
         self.m = m_new
 
+        # the columns before lo_col were found finite by earlier fills
         for n in range(self.n_rows + 1):
-            bad = ~np.isfinite(self._hi[n])
+            bad = ~np.isfinite(self._hi[n][lo_col:])
             if bad.any():
-                m_bad = int(np.argmax(bad))
+                m_bad = lo_col + int(np.argmax(bad))
                 raise NumericOverflowError(
                     f"scaled Hermite table overflowed at entry (n={n}, m={m_bad})",
                     index=(n, m_bad),
                 )
+
+    def _row0(self, m_new: int):
+        """Row 0 for columns self.m+1..m_new as lists of high and low words.
+
+        Column m+1 is dd.mul(dd.sub(dd.mul(ry2, h[m]), dd.mul(dd.mul(r22,
+        h[m-1]), sq[m])), inv[m]), written out operation by operation (the
+        sub is skipped at m = 0).  (x0, x1) is a double-double and (xh, xl)
+        the Dekker split of x0; q and c are h[m-1] and h[m]."""
+        splitter = dd._SPLIT
+        a0, a1 = float(self.c.ry2[0]), float(self.c.ry2[1])
+        g0, g1 = float(self.c.r22[0]), float(self.c.r22[1])
+        new_hi, new_lo = ([], []) if self.m >= 0 else ([1.0], [0.0])
+        m_old = max(self.m, 0)
+        # the last two filled columns; with only one, q = c is never read
+        hi, lo = self._hi[0][-2:].tolist() + new_hi, self._lo[0][-2:].tolist() + new_lo
+        q0, c0, q1, c1 = hi[0], hi[-1], lo[0], lo[-1]
+        (ah, al), (gh, gl), (qh, ql), (ch, cl) = map(dd.split, (a0, g0, q0, c0))
+        sq0, sq1, inv0, inv1 = (f[m_old:m_new] for f in _index_factors())
+        factors = (sq0, sq1, *dd.split(sq0), inv0, inv1, *dd.split(inv0))
+        columns = zip(range(m_old, m_new), *(f.tolist() for f in factors))
+        for m, s0, s1, sh, sl, v0, v1, vh, vl in columns:
+            # acc = ry2 * h[m]
+            p = a0 * c0
+            b = ((ah * ch - p) + ah * cl + al * ch) + al * cl + a0 * c1 + a1 * c0
+            x0 = p + b
+            x1 = b - (x0 - p)
+            if m:
+                # t = r22 * h[m-1]
+                p = g0 * q0
+                b = ((gh * qh - p) + gh * ql + gl * qh) + gl * ql + g0 * q1 + g1 * q0
+                t0 = p + b
+                t1 = b - (t0 - p)
+                # u = t * sq[m]
+                w = splitter * t0
+                th = w - (w - t0)
+                tl = t0 - th
+                p = t0 * s0
+                b = ((th * sh - p) + th * sl + tl * sh) + tl * sl + t0 * s1 + t1 * s0
+                u0 = p + b
+                u1 = b - (u0 - p)
+                # acc = acc - u
+                s = x0 - u0
+                t = s - x0
+                b = (x0 - (s - t)) + (-u0 - t) + x1 - u1
+                x0 = s + b
+                x1 = b - (x0 - s)
+            # h[m+1] = acc * inv[m]
+            w = splitter * x0
+            xh = w - (w - x0)
+            xl = x0 - xh
+            p = x0 * v0
+            b = ((xh * vh - p) + xh * vl + xl * vh) + xl * vl + x0 * v1 + x1 * v0
+            q0, q1, qh, ql = c0, c1, ch, cl
+            c0 = p + b
+            c1 = b - (c0 - p)
+            w = splitter * c0
+            ch = w - (w - c0)
+            cl = c0 - ch
+            new_hi.append(c0)
+            new_lo.append(c1)
+        return new_hi, new_lo
 
     def row(self, n: int) -> np.ndarray:
         """Row n rounded to double."""

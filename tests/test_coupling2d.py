@@ -24,6 +24,7 @@ from selfoc import (
 )
 from selfoc.coupling1d import _n_prime_moments
 from selfoc.coupling2d import _first_block, _target_mode_moments
+from selfoc.hermite import MODE_INDEX_CAP, _refuse_overfull, _TableBuilder, build_kernel
 
 
 class TestWaveguide2D:
@@ -504,6 +505,99 @@ class TestCoupledReplay:
         assert tensor.values.shape == (41, 33)
 
 
+def separable_reference(source, target, n_x, n_y, epsilon, cap, builder=_TableBuilder):
+    """The separable growth before fill-ahead: each axis's row filled only
+    as far as the 32-column growth reads it.  Returns (values, mass, partial)."""
+    frames = zip(coupling2d._channel_frames(source), coupling2d._channel_frames(target))
+    rows = [builder(build_kernel(s, t), n) for (s, t), n in zip(frames, (n_x, n_y))]
+    tops = [min(32, cap)] * 2
+    while True:
+        for row, top in zip(rows, tops):
+            row.extend(top)
+        amps = [row.amplitude for row in rows]
+        masses = [float(np.dot(a, a)) for a in amps]
+        _refuse_overfull(masses, "a separable channel")
+        mass, tails = masses[0] * masses[1], (1.0 - masses[0], 1.0 - masses[1])
+        side = 0 if tails[0] >= tails[1] else 1
+        if tops[side] >= cap:
+            side = 1 - side
+        if mass >= 1.0 - epsilon or tops[side] >= cap:
+            return np.outer(amps[0], amps[1]), mass, not mass >= 1.0 - epsilon
+        tops[side] = min(tops[side] + 32, cap)
+
+
+def seeded_separable_requests(count=24):
+    """Separable requests with n up to 20 and shifts up to D 100 per axis;
+    every other one has a cap of 24, 100, 300 or 600."""
+    rng = np.random.default_rng(3030)
+    out = []
+    for i in range(count):
+        rx, ry = rng.uniform(1.5, 5.0, size=2)
+        center = tuple(np.sqrt(rng.uniform(0.0, 100.0, size=2)))
+        n_x, n_y = (int(k) for k in rng.integers(0, 21, size=2))
+        cap = (24, 100, 300, 600)[i // 2 % 4] if i % 2 else MODE_INDEX_CAP
+        out.append((Waveguide2D(1.0, 1.0), Waveguide2D(rx, ry, 0.0, center), n_x, n_y, 1e-8, cap))
+    return out
+
+
+def separable_outcome(fn, request_):
+    try:
+        tensor = fn(*request_)
+    except PartialTensorError as err:
+        return err.tensor.values, err.tensor.captured_mass, True
+    if isinstance(tensor, tuple):
+        return tensor
+    return tensor.values, tensor.captured_mass, False
+
+
+class _OverflowPast(_TableBuilder):
+    """A table whose entries past column 48 overflow."""
+
+    def _extend(self, m_new):
+        super()._extend(m_new)
+        if m_new > 48:
+            raise NumericOverflowError("stub overflow at (n=0, m=49)", index=(0, 49))
+
+
+class TestSeparableReplay:
+    @pytest.mark.parametrize(
+        "request_",
+        [PINNED_REQUESTS[label] for label in sorted(SEPARABLE_PINS)] + seeded_separable_requests(),
+        ids=sorted(SEPARABLE_PINS) + [f"seeded-{i}" for i in range(24)],
+    )
+    def test_matches_32_column_loop(self, request_):
+        values, mass, partial = separable_outcome(spectrum2d_separable, request_)
+        want, want_mass, want_partial = separable_outcome(separable_reference, request_)
+        assert values.shape == want.shape
+        assert values.tobytes() == want.tobytes()
+        assert float(mass).hex() == float(want_mass).hex()
+        assert partial == want_partial
+
+    def test_fill_ahead_past_the_columns_read_is_not_refused(self, monkeypatch):
+        # the growth stops at (33, 33): an overflow the fill-ahead meets
+        # further out refuses nothing, as it did not before fill-ahead
+        request_ = PINNED_REQUESTS["identical"]
+        want = separable_outcome(
+            lambda *r: separable_reference(*r, builder=_OverflowPast), request_
+        )
+        monkeypatch.setattr(coupling2d, "_TableBuilder", _OverflowPast)
+        monkeypatch.setattr(coupling2d, "_first_extent", lambda t: 1000)
+        values, mass, partial = separable_outcome(spectrum2d_separable, request_)
+        assert values.shape == want[0].shape == (33, 33)
+        assert values.tobytes() == want[0].tobytes()
+        assert (mass, partial) == want[1:]
+
+    def test_overflow_the_growth_reads_is_refused_where_it_was(self, monkeypatch):
+        # the y axis grows to column 96, past the stub's overflow at 49
+        request_ = PINNED_REQUESTS["one-side-long-cap256"]
+        with pytest.raises(NumericOverflowError) as want:
+            separable_reference(*request_, builder=_OverflowPast)
+        monkeypatch.setattr(coupling2d, "_TableBuilder", _OverflowPast)
+        with pytest.raises(NumericOverflowError) as got:
+            spectrum2d_separable(*request_)
+        assert (got.value.index, str(got.value)) == (want.value.index, str(want.value))
+
+
 def uncoupled_transitions(source, target, n_x, n_y):
     frames = zip(coupling2d._channel_frames(source), coupling2d._channel_frames(target))
     return [Transition1D(s, t, n) for (s, t), n in zip(frames, (n_x, n_y))]
@@ -550,9 +644,16 @@ class TestTargetModeMoments:
         assert _first_block(source, target, 2, 2, 8, 100) == [min(w, 100) for w in want]
 
     def test_overflowing_moments_fall_back_to_the_start(self):
+        source, target = Waveguide2D(1.0, 1.0), Waveguide2D(1e300, 1e300)
+        assert _first_block(source, target, 0, 0, 8, 16) == [8, 8]
+        assert _first_block(source, target, 0, 0, 8, 4) == [4, 4]
+
+    def test_overflowing_normal_frequencies_refused(self):
         source, target = Waveguide2D(1.0, 1.0), Waveguide2D(1e300, 2.0, 1.0)
-        with np.errstate(all="ignore"):
-            assert _first_block(source, target, 0, 0, 8, 16) == [8, 8]
-            assert _first_block(source, target, 0, 0, 8, 4) == [4, 4]
-            with pytest.raises(NumericOverflowError, match=r"up to \(8, 8\) is not finite"):
-                coupled_tensor(source, target, 0, 0, 1e-8, 16)
+        for call in (
+            lambda: normal_modes(target),
+            lambda: _first_block(source, target, 0, 0, 8, 16),
+            lambda: coupled_tensor(source, target, 0, 0, 1e-8, 16),
+        ):
+            with pytest.raises(NumericOverflowError, match="normal frequencies .* not finite"):
+                call()

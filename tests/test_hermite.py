@@ -440,6 +440,8 @@ def seeded_fill_cases(count=24):
         n = int(rng.integers(0, 21))
         last = int(rng.integers(40, 1500))
         steps = sorted({int(s) for s in rng.integers(0, last, size=int(rng.integers(0, 6)))})
+        if i % 4 == 1:  # one and two columns filled before a block
+            steps = [0, 1] + [s for s in steps if s > 1]
         out.append((ratio, big_d, n, steps + [last]))
     return out
 

@@ -248,3 +248,27 @@ def test_scipy_loaded_only_by_first_rule():
     r = math.sqrt(10.0)
     outer, inner = math.sqrt((5 + r) / 2), math.sqrt((5 - r) / 2)
     assert rule.nodes == pytest.approx([-outer, -inner, 0.0, inner, outer], rel=1e-14, abs=0)
+
+
+_FACTORS_PROBE = """
+import selfoc.cli
+from selfoc.hermite import _index_factors
+built = _index_factors.cache_info().currsize
+selfoc.spectrum1d(selfoc.Transition1D(selfoc.OscillatorFrame(1.0), selfoc.OscillatorFrame(3.0, 3.0), 0))
+print(built, _index_factors.cache_info().currsize)
+"""
+
+
+def test_index_factors_built_only_by_first_table():
+    # import stays cheap for the cold CLI: the per-process index factors of
+    # the closed-form table are built on first use, not at import
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FACTORS_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.split() == ["0", "1"]
