@@ -3,7 +3,10 @@
 A value is a ``(hi, lo)`` pair whose unevaluated sum represents the number
 with roughly 32 significant digits.  Only the operations needed by the
 two-index Hermite recurrences are provided; everything broadcasts like
-numpy, so the same code path serves scalars and whole table rows.
+numpy, so the same code path serves the kernel's scalars and whole table
+rows.  Row 0 of the table, a sequential recurrence, runs these operations
+written out on Python floats (``hermite._TableBuilder._row0``) with the
+same bits.
 
 The extra precision is not cosmetic: the overlap recurrences cancel up to
 ~13 digits in strongly displaced/stretched corners, so plain double loses

@@ -498,6 +498,18 @@ class TestCoupledReplay:
         w = Waveguide2D(1.0, 1.0)
         assert coupled_tensor(w, w, 0, 0, epsilon=1e-5).values.shape == (25, 17)
 
+    def test_non_finite_replayed_entry_refused(self, monkeypatch):
+        # a stubbed block, finite but for entry (8, 8) of the first rectangle
+        def block(source, target, n_x, n_y, top1, top2):
+            values = np.full((top1 + 1, top2 + 1), 0.01)
+            values[8, 8] = math.inf
+            return values
+
+        monkeypatch.setattr(coupling2d, "_coupled_block", block)
+        w = Waveguide2D(1.0, 1.0)
+        with pytest.raises(NumericOverflowError, match=r"up to \(8, 8\) is not finite"):
+            coupled_tensor(w, w, 0, 0, 1e-8, 16)
+
     def test_symmetric_tie_goes_to_the_first_side(self):
         # the tails at (8, 8), (16, 16), ... agree to round-off only; the
         # separable path, whose tails tie exactly, grows side 0 there too
@@ -540,14 +552,13 @@ def seeded_separable_requests(count=24):
     return out
 
 
-def separable_outcome(fn, request_):
+def separable_result(request_):
+    """spectrum2d_separable as (values, mass, partial)."""
     try:
-        tensor = fn(*request_)
+        tensor, partial = spectrum2d_separable(*request_), False
     except PartialTensorError as err:
-        return err.tensor.values, err.tensor.captured_mass, True
-    if isinstance(tensor, tuple):
-        return tensor
-    return tensor.values, tensor.captured_mass, False
+        tensor, partial = err.tensor, True
+    return tensor.values, tensor.captured_mass, partial
 
 
 class _OverflowPast(_TableBuilder):
@@ -566,8 +577,8 @@ class TestSeparableReplay:
         ids=sorted(SEPARABLE_PINS) + [f"seeded-{i}" for i in range(24)],
     )
     def test_matches_32_column_loop(self, request_):
-        values, mass, partial = separable_outcome(spectrum2d_separable, request_)
-        want, want_mass, want_partial = separable_outcome(separable_reference, request_)
+        values, mass, partial = separable_result(request_)
+        want, want_mass, want_partial = separable_reference(*request_)
         assert values.shape == want.shape
         assert values.tobytes() == want.tobytes()
         assert float(mass).hex() == float(want_mass).hex()
@@ -577,12 +588,10 @@ class TestSeparableReplay:
         # the growth stops at (33, 33): an overflow the fill-ahead meets
         # further out refuses nothing, as it did not before fill-ahead
         request_ = PINNED_REQUESTS["identical"]
-        want = separable_outcome(
-            lambda *r: separable_reference(*r, builder=_OverflowPast), request_
-        )
+        want = separable_reference(*request_, builder=_OverflowPast)
         monkeypatch.setattr(coupling2d, "_TableBuilder", _OverflowPast)
         monkeypatch.setattr(coupling2d, "_first_extent", lambda t: 1000)
-        values, mass, partial = separable_outcome(spectrum2d_separable, request_)
+        values, mass, partial = separable_result(request_)
         assert values.shape == want[0].shape == (33, 33)
         assert values.tobytes() == want[0].tobytes()
         assert (mass, partial) == want[1:]
