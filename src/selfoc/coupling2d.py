@@ -106,6 +106,9 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
     ------
     NumericOverflowError
         A normal frequency is not finite (squares past double range).
+    NotPositiveDefiniteError
+        The smaller form eigenvalue rounds to <= 0, as it can for a profile
+        that passes the construction check within an ulp of the boundary.
     """
     m = w.form_matrix
     if w.gamma == 0.0:
@@ -129,9 +132,14 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
         hi, lo = (lam1, e1), (lam2, e2)
     else:
         hi, lo = (lam2, e2), (lam1, e1)
-    omega_plus, omega_minus = math.sqrt(hi[0]), math.sqrt(lo[0])
-    if not (math.isfinite(omega_plus) and math.isfinite(omega_minus)):
+    if not (math.isfinite(lam1) and math.isfinite(lam2)):
         raise NumericOverflowError(f"the normal frequencies of {w} are not finite")
+    if not lo[0] > 0.0:
+        raise NotPositiveDefiniteError(
+            f"{w} is not positive definite in double precision: its smaller "
+            f"form eigenvalue is {lo[0]!r}"
+        )
+    omega_plus, omega_minus = math.sqrt(hi[0]), math.sqrt(lo[0])
     return NormalModes(
         theta=theta,
         omega_plus=omega_plus,
@@ -283,6 +291,7 @@ def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _coupled_block(
     source: Waveguide2D,
     target: Waveguide2D,
@@ -296,8 +305,9 @@ def _coupled_block(
     Tensor Gauss-Hermite in the frame diagonalizing the combined Gaussian
     envelope of the four-factor product; every factor is a 1D oscillator
     function along its own normal axis, evaluated via the scaled-Hermite
-    split so the Gaussian bookkeeping stays exact.  Callers refuse the part
-    they read if it is not finite (``_refuse_nonfinite``).
+    split so the Gaussian bookkeeping stays exact.  Overflow is computed
+    silently: callers refuse the part they read if it is not finite
+    (``_refuse_nonfinite``), the one refusal.
     """
     nm_s, a_s = _mode_factors(source)
     nm_t, a_t = _mode_factors(target)

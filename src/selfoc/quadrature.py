@@ -1,14 +1,13 @@
 """Gauss-Hermite rules (weight exp(-t^2)) used as the integration oracle.
 
-Nodes come from the symmetric tridiagonal Jacobi matrix and are then
-Newton-polished on the Hermite-function recurrence; weights follow from
-the Christoffel sum of the same pass.  Both read the rescaled levels of
-:func:`selfoc.hermite._ladder`, so rules stay generatable far past the
-order where raw polynomial values or bare Gaussians leave double range.
-
-scipy (for the tridiagonal eigensolver) is loaded when the first rule of
-order >= 2 is built, not when this module is imported, so processes that
-only use the closed-form path never load it.
+Nodes start from asymptotic zeros of H_order, Tricomi's in the interior
+and Gatteschi's Airy expansion for the outermost few (Gatteschi 2002,
+J. Comput. Appl. Math. 144:7; Townsend, Trogdon & Olver 2016, IMA J.
+Numer. Anal. 36:337), and are then Newton-polished on the Hermite-function
+recurrence; weights follow from the Christoffel sum of the same pass.
+Both read the rescaled levels of :func:`selfoc.hermite._ladder`, so rules
+stay generatable far past the order where raw polynomial values or bare
+Gaussians leave double range.  numpy is the only library used.
 """
 
 from __future__ import annotations
@@ -24,6 +23,44 @@ from .hermite import _RESCALE_BITS, _ladder
 
 MAX_ORDER = 2048
 SQRT_PI = math.sqrt(math.pi)
+#: The first ten zeros of the Airy function Ai; later ones come from their series.
+_AIRY_ZEROS = np.array([
+    -2.338107410459762, -4.087949444130970, -5.520559828095555, -6.786708090071765,
+    -7.944133587120863, -9.022650853340979, -10.040174341558084, -11.008524303733260,
+    -11.936015563236262, -12.828776752865757,
+])
+
+
+def _initial_nodes(order: int) -> np.ndarray:
+    """Asymptotic zeros of H_order, ascending and +/- mirrored, as Newton
+    starts: within about 1e-3 of the true zeros below order 20 and 1e-8
+    at order 2048.  The j-th positive zero from the edge is sqrt(x2), with
+    x2 the matching zero of the Laguerre polynomial in t = x^2, whose
+    parameter +/-1/2 enters only squared (0.25 below)."""
+    nu = 2.0 * order + 1.0
+    j = np.arange(1.0, order // 2 + 1.0)
+    # Tricomi: T - sin T = (4j - 1) pi / nu, x2 = nu cos^2(T/2) + O(1/nu)
+    rhs = (4.0 * j - 1.0) * math.pi / nu
+    t = np.full(j.size, 0.5 * math.pi)
+    for _ in range(7):
+        t -= (t - np.sin(t) - rhs) / (1.0 - np.cos(t))
+    c = np.cos(0.5 * t) ** 2
+    x2 = nu * c - (1.25 / (1.0 - c) ** 2 - 1.0 / (1.0 - c) - 0.25) / (3.0 * nu)
+    # Gatteschi's Airy expansion is the closer start for the outermost
+    # order^0.4 / 1.3 or so (where the two start errors cross)
+    s = 0.375 * math.pi * (4.0 * j[: int(order**0.4 / 1.3)] - 1.0)
+    a = -(s ** (2.0 / 3.0)) * (1.0 + 5.0 / 48.0 / s**2 - 5.0 / 36.0 / s**4)
+    a[:10] = _AIRY_ZEROS[: a.size]
+    x2[: a.size] = (
+        nu + 2.0 ** (2.0 / 3.0) * a * nu ** (1.0 / 3.0)
+        + 0.2 * 2.0 ** (4.0 / 3.0) * a**2 * nu ** (-1.0 / 3.0)
+        + (11.0 / 35.0 - 0.25 - 12.0 / 175.0 * a**3) / nu
+        + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a**4) * 2.0 ** (2.0 / 3.0) * nu ** (-5.0 / 3.0)
+        - (15152.0 / 3031875.0 * a**5 + 1088.0 / 121275.0 * a**2)
+        * 2.0 ** (1.0 / 3.0) * nu ** (-7.0 / 3.0)
+    )
+    outer = np.sqrt(x2)
+    return np.concatenate((-outer, np.zeros(order % 2), outer[::-1]))
 
 
 def _scaled_pass(order: int, x: np.ndarray):
@@ -83,37 +120,28 @@ def gauss_hermite(order: int) -> QuadratureRule:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
     order = int(order)
 
-    if order == 1:
-        x = np.zeros(1)
-    else:
-        # imported here: scipy.linalg costs ~0.3 s to load, and processes
-        # that never build a rule of order >= 2 should not pay for it
-        from scipy.linalg import eigvalsh_tridiagonal
-
-        off_diag = np.sqrt(np.arange(1, order) / 2.0)
-        x = eigvalsh_tridiagonal(np.zeros(order), off_diag)
-        # Newton polish on the Hermite function; dx = f_n / f_n'
-        sqrt2n = math.sqrt(2.0 * order)
-        for _ in range(100):
-            f_n, f_nm1, _, _ = _scaled_pass(order, x)
-            dx = f_n / (sqrt2n * f_nm1 - x * f_n)
-            x = x - dx
-            if np.all(np.abs(dx) <= 1e-15 * np.maximum(1.0, np.abs(x))):
-                break
-        # exact +/- pairing; the midpoint of an odd rule lands on 0.0
-        x = 0.5 * (x - x[::-1])
+    x = _initial_nodes(order)
+    # Newton polish on the Hermite function; dx = f_n / f_n'
+    sqrt2n = math.sqrt(2.0 * order)
+    for _ in range(100):
+        f_n, f_nm1, _, _ = _scaled_pass(order, x)
+        dx = f_n / (sqrt2n * f_nm1 - x * f_n)
+        x = x - dx
+        if np.all(np.abs(dx) <= 1e-15 * np.maximum(1.0, np.abs(x))):
+            break
+    # exact +/- pairing; the midpoint of an odd rule lands on 0.0
+    x = 0.5 * (x - x[::-1])
 
     f_n, f_nm1, s, logscale = _scaled_pass(order, x)
-    if order > 1:
-        residual = np.abs(f_n / (math.sqrt(2.0 * order) * f_nm1 - x * f_n))
-        bad = residual > 1e-14 * np.maximum(1.0, np.abs(x))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ConvergenceError(
-                f"node {i} of order-{order} rule failed to converge "
-                f"(residual {residual[i]:.3e})",
-                node_index=i,
-            )
+    residual = np.abs(f_n / (sqrt2n * f_nm1 - x * f_n))
+    bad = residual > 1e-14 * np.maximum(1.0, np.abs(x))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"node {i} of order-{order} rule failed to converge "
+            f"(residual {residual[i]:.3e})",
+            node_index=i,
+        )
     with np.errstate(under="ignore"):
         w = SQRT_PI * np.exp(-2.0 * logscale) / s
 

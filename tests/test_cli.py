@@ -205,6 +205,19 @@ class TestExitCodes:
         assert "nan" not in out
         assert code == expected
 
+    def test_profile_an_ulp_inside_the_boundary_rejected(self, capsys):
+        # passes the construction check, but its smaller form eigenvalue
+        # rounds below 0: a typed refusal, not "math domain error"
+        code, out, err = invoke(
+            capsys, "coupled2d", "--ratio-x", "0.5010560407655029",
+            "--ratio-y", "7.346861336999952", "--gamma-prime", "-7.36237850714069",
+            "--cap", "16",
+        )
+        assert code == 2
+        assert out == ""
+        assert "is not positive definite" in err
+        assert "domain" not in err
+
     def test_gamma_on_spectrum2d_rejected(self, capsys):
         code, _, err = invoke(
             capsys, "spectrum2d", "--ratio-x", "2", "--ratio-y", "3", "--gamma-prime", "1"

@@ -97,6 +97,23 @@ class TestNormalModes:
         assert nm.omega_minus**2 == pytest.approx(evals[0], rel=1e-13)
         assert nm.omega_plus**2 == pytest.approx(evals[1], rel=1e-13)
 
+    def test_profiles_an_ulp_inside_the_boundary(self):
+        # gamma = +/-nextafter(2 wx wy, 0) passes or fails the construction
+        # check by rounding; a passing profile whose smaller form eigenvalue
+        # rounds to <= 0 is refused by type, never "math domain error"
+        rng = np.random.default_rng(20)
+        refused_late = 0
+        for wx, wy in rng.uniform(0.05, 20.0, size=(400, 2)):
+            for sign in (1.0, -1.0):
+                gamma = sign * math.nextafter(2.0 * wx * wy, 0.0)
+                try:
+                    nm = normal_modes(Waveguide2D(wx, wy, gamma))
+                except NotPositiveDefiniteError as exc:
+                    refused_late += "form eigenvalue" in str(exc)
+                    continue
+                assert 0.0 < nm.omega_minus <= nm.omega_plus < math.inf
+        assert refused_late > 0
+
 
 def separable_pair(dx=3.0, dy=4.0, rx=2.0, ry=3.0):
     return Waveguide2D(1.0, 1.0), Waveguide2D(rx, ry, 0.0, (dx, dy))
@@ -209,6 +226,18 @@ class TestOverlapCoupled:
     def test_identical_isotropic_profiles_unit_overlap(self):
         src = Waveguide2D(1.3, 1.3)
         assert overlap_coupled(src, src, 0, 0, 0, 0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "target", [Waveguide2D(1e300, 1e300), Waveguide2D(2.0, 3.0, 1.0, (1e200, 0.0))]
+    )
+    def test_overflow_is_refused_without_warnings(self, target):
+        # warnings are errors under pytest: numpy's overflow warnings must not
+        # escape the block ahead of the NumericOverflowError refusal
+        source = Waveguide2D(1.0, 1.0)
+        with pytest.raises(NumericOverflowError, match="block .* not finite"):
+            overlap_coupled(source, target, 0, 0, 0, 0)
+        with pytest.raises(NumericOverflowError, match="block .* not finite"):
+            coupled_tensor(source, target, 0, 0, 1e-8, 16)
 
 
 class TestCoupledTensor:

@@ -216,21 +216,22 @@ def test_dataclass_roundtrip():
 
 
 _COLD_PROBE = """
-import json, sys
-loaded = lambda: any(m.split(".")[0] == "scipy" for m in sys.modules)
+import contextlib, io, json, sys
 import selfoc, selfoc.cli
-state = [loaded()]
-selfoc.gauss_hermite(1)
-state.append(loaded())
-rule = selfoc.gauss_hermite(5)
-state.append(loaded())
-print(json.dumps({"loaded": state, "nodes": [v.hex() for v in rule.nodes.tolist()],
-                  "weights": [v.hex() for v in rule.weights.tolist()]}))
+rules = [selfoc.gauss_hermite(order) for order in (1, 5, 200)]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = selfoc.cli.run(["coupled2d", "--ratio-x", "1.5", "--ratio-y", "2",
+                           "--gamma-prime", "0.8", "--eps", "1e-5"])
+print(json.dumps({"code": code,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "nodes": [[v.hex() for v in r.nodes.tolist()] for r in rules],
+                  "weights": [[v.hex() for v in r.weights.tolist()] for r in rules]}))
 """
 
 
-def test_scipy_loaded_only_by_first_rule():
-    # the closed-form commands must start without paying for scipy
+def test_scipy_never_loaded():
+    # rules are built from numpy alone: neither import, nor rules of any
+    # order, nor a coupled CLI run may load scipy
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_PROBE],
@@ -241,13 +242,59 @@ def test_scipy_loaded_only_by_first_rule():
         check=True,
     )
     probe = json.loads(proc.stdout)
-    assert probe["loaded"] == [False, False, True]
+    assert probe["code"] == 0
+    assert probe["scipy"] == []
+    for order, nodes, weights in zip((1, 5, 200), probe["nodes"], probe["weights"]):
+        rule = gauss_hermite(order)
+        assert [float.fromhex(v) for v in nodes] == rule.nodes.tolist()
+        assert [float.fromhex(v) for v in weights] == rule.weights.tolist()
     rule = gauss_hermite(5)
-    assert [float.fromhex(v) for v in probe["nodes"]] == rule.nodes.tolist()
-    assert [float.fromhex(v) for v in probe["weights"]] == rule.weights.tolist()
     r = math.sqrt(10.0)
     outer, inner = math.sqrt((5 + r) / 2), math.sqrt((5 - r) / 2)
     assert rule.nodes == pytest.approx([-outer, -inner, 0.0, inner, outer], rel=1e-14, abs=0)
+
+
+AGREEMENT_ORDERS = [*range(1, 301), 400, 513, 800, 1210, 2048]
+
+
+def _eigensolver_rule(order: int):
+    """The rule as built from eigensolver starts (the tridiagonal Jacobi
+    matrix) with the same Newton polish: the reference the asymptotic
+    starts must reproduce to a few ulps."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    x = eigvalsh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0))
+    sqrt2n = math.sqrt(2.0 * order)
+    for _ in range(100):
+        f_n, f_nm1, _, _ = _scaled_pass(order, x)
+        dx = f_n / (sqrt2n * f_nm1 - x * f_n)
+        x = x - dx
+        if np.all(np.abs(dx) <= 1e-15 * np.maximum(1.0, np.abs(x))):
+            break
+    x = 0.5 * (x - x[::-1])
+    _, _, s, logscale = _scaled_pass(order, x)
+    with np.errstate(under="ignore"):
+        return x, SQRT_PI * np.exp(-2.0 * logscale) / s
+
+
+def test_rules_ascend_pair_exactly_and_sum_to_sqrt_pi():
+    for order in AGREEMENT_ORDERS:
+        rule = gauss_hermite(order)
+        assert np.all(np.diff(rule.nodes) > 0), order
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1]), order
+        assert rule.weights.sum() == pytest.approx(SQRT_PI, rel=1e-13), order
+
+
+def test_rules_match_eigensolver_starts():
+    pytest.importorskip("scipy")
+    tiny = np.finfo(float).tiny
+    for order in AGREEMENT_ORDERS:
+        rule = gauss_hermite(order)
+        nodes, weights = _eigensolver_rule(order)
+        ulps = np.abs(rule.nodes - nodes) / np.spacing(np.abs(nodes))
+        assert ulps.max() <= 4, (order, ulps.max())
+        # past order ~390 the extreme weights underflow; compare those absolutely
+        np.testing.assert_allclose(rule.weights, weights, rtol=1e-12, atol=tiny, err_msg=str(order))
 
 
 _FACTORS_PROBE = """
