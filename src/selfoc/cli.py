@@ -106,12 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, allow_abbrev=False)
         p.add_argument("--scenario", type=str, default=None, metavar="PATH")
         for key, (typ, _default) in keys.items():
-            if key == "format":
-                p.add_argument("--format", type=str, default=None, choices=_FORMATS)
-            elif key == "out":
-                p.add_argument("--out", type=str, default=None, metavar="PATH")
-            else:
-                p.add_argument(f"--{key}", type=typ, default=None, dest=key)
+            p.add_argument(f"--{key}", type=typ, default=None, dest=key)
     return parser
 
 
@@ -140,8 +135,6 @@ def _load_scenario(path: str, keys: dict) -> dict:
             raise _CliError(
                 f"--scenario {path!r} line {lineno}: bad value for {key!r}: {text!r}"
             ) from exc
-    if "format" in values and values["format"] not in _FORMATS:
-        raise _CliError(f"--scenario {path!r}: format must be one of {_FORMATS}")
     return values
 
 
@@ -211,6 +204,8 @@ def _axes(params, suffixes) -> list:
 
 
 def _check_common(params):
+    if params["format"] not in _FORMATS:
+        raise _CliError(f"--format must be one of {_FORMATS}, got {params['format']!r}")
     if not (0.0 < params["eps"] < 1.0):
         raise _CliError(f"--eps must be in (0, 1), got {params['eps']}")
     if not (0 <= params["cap"] <= MODE_INDEX_CAP):

@@ -65,20 +65,27 @@ class Spectrum:
     square of ``amplitude`` elementwise and ``captured_mass`` their sum.
     """
 
-    n_prime: np.ndarray
     amplitude: np.ndarray
-    probability: np.ndarray
     captured_mass: float
-    cutoff: int
     epsilon: float
 
     def __post_init__(self):
-        self.n_prime.setflags(write=False)
         self.amplitude.setflags(write=False)
-        self.probability.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.n_prime)
+        return len(self.amplitude)
+
+    @property
+    def n_prime(self) -> np.ndarray:
+        return np.arange(len(self.amplitude))
+
+    @property
+    def probability(self) -> np.ndarray:
+        return self.amplitude * self.amplitude
+
+    @property
+    def cutoff(self) -> int:
+        return len(self.amplitude) - 1
 
     @property
     def argmax(self) -> int:
@@ -224,36 +231,19 @@ def spectrum1d(t: Transition1D, epsilon: float = 1e-8, cap: int = MODE_INDEX_CAP
         cumulative = np.cumsum(amplitude * amplitude)
         _refuse_overfull(cumulative[-1], f"spectrum of <{t.n}|n'>")
         hit = int(np.searchsorted(cumulative, target_mass))
-        if hit < len(cumulative):
-            cutoff = hit
+        if hit < len(cumulative) or m_new == cap:
             break
-        if m_new == cap:
-            probability = amplitude * amplitude
-            partial = Spectrum(
-                n_prime=np.arange(cap + 1),
-                amplitude=amplitude,
-                probability=probability,
-                captured_mass=float(cumulative[-1]),
-                cutoff=cap,
-                epsilon=epsilon,
-            )
-            raise PartialSpectrumError(
-                f"captured mass {cumulative[-1]:.12g} < {target_mass:.12g} "
-                f"at the hard cap {cap}",
-                spectrum=partial,
-            )
         m_new = min(cap, m_new + m_new // 2)
 
-    amplitude = amplitude[: cutoff + 1]
-    probability = amplitude * amplitude
-    return Spectrum(
-        n_prime=np.arange(cutoff + 1),
-        amplitude=amplitude,
-        probability=probability,
-        captured_mass=float(cumulative[cutoff]),
-        cutoff=cutoff,
-        epsilon=epsilon,
-    )
+    cutoff = min(hit, cap)
+    spectrum = Spectrum(amplitude[: cutoff + 1], float(cumulative[cutoff]), epsilon)
+    if hit > cap:
+        raise PartialSpectrumError(
+            f"captured mass {spectrum.captured_mass:.12g} < {target_mass:.12g} "
+            f"at the hard cap {cap}",
+            spectrum=spectrum,
+        )
+    return spectrum
 
 
 def coupling_matrix(

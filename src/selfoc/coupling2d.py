@@ -194,20 +194,29 @@ def _channel_frames(w: Waveguide2D):
     )
 
 
-def _grow_rectangle(evaluate, step, cap, target_mass):
+def _grow_rectangle(evaluate, finish, step, cap, epsilon, initial, at_cap):
     """Grow the index rectangle ``tops`` from ``min(step, cap)`` per side
-    until ``evaluate(tops) -> (result, mass, tails)`` reaches the target
-    mass; the side with the larger tail (side 0 on ties) grows by ``step``,
-    the other once it is at ``cap``.  Returns the last (result, mass)."""
+    until ``evaluate(tops) -> (state, mass, tails)`` reaches 1 - epsilon;
+    the side with the larger tail (side 0 on ties) grows by ``step``, the
+    other once it is at ``cap``.  The tensor of the last state's values,
+    ``finish(state)``, is built once: returned, or raised on a
+    PartialTensorError that ends ``at_cap`` where the mass falls short."""
+    target_mass = 1.0 - epsilon
     tops = [min(step, cap)] * 2
     while True:
-        result, mass, tails = evaluate(tops)
+        state, mass, tails = evaluate(tops)
         side = 0 if tails[0] >= tails[1] else 1
         if tops[side] >= cap:
             side = 1 - side
         if mass >= target_mass or tops[side] >= cap:
-            return result, mass
+            break
         tops[side] = min(tops[side] + step, cap)
+    tensor = CouplingTensor(finish(state), mass, initial, epsilon)
+    if not mass >= target_mass:
+        raise PartialTensorError(
+            f"captured mass {mass:.12g} < {target_mass:.12g} {at_cap}", tensor=tensor
+        )
+    return tensor
 
 
 def spectrum2d_separable(
@@ -256,21 +265,10 @@ def spectrum2d_separable(
         _refuse_overfull(masses, "a separable channel")
         return amps, masses[0] * masses[1], (1.0 - masses[0], 1.0 - masses[1])
 
-    target_mass = 1.0 - epsilon
-    amps, mass = _grow_rectangle(evaluate, 32, cap, target_mass)
-    tensor = CouplingTensor(
-        values=np.outer(amps[0], amps[1]),
-        captured_mass=mass,
-        initial=(n_x, n_y),
-        epsilon=epsilon,
+    return _grow_rectangle(
+        evaluate, lambda amps: np.outer(*amps), 32, cap, epsilon, (n_x, n_y),
+        f"with both channels at the hard cap {cap}",
     )
-    if not mass >= target_mass:
-        raise PartialTensorError(
-            f"captured mass {mass:.12g} < {target_mass:.12g} "
-            f"with both channels at the hard cap {cap}",
-            tensor=tensor,
-        )
-    return tensor
 
 
 def _mode_factors(w: Waveguide2D):
@@ -486,18 +484,10 @@ def coupled_tensor(
             tails = (tails[1], tails[1])
         return values, float(prob.sum()), tails
 
-    target_mass = 1.0 - epsilon
-    values, mass = _grow_rectangle(evaluate, step, cap, target_mass)
-    tensor = CouplingTensor(
-        values=values.copy(), captured_mass=mass, initial=(n_x, n_y), epsilon=epsilon
+    return _grow_rectangle(
+        evaluate, np.copy, step, cap, epsilon, (n_x, n_y),
+        f"with the rectangle at the cap {cap}",
     )
-    if not mass >= target_mass:
-        raise PartialTensorError(
-            f"captured mass {mass:.12g} < {target_mass:.12g} with the "
-            f"rectangle at the cap {cap}",
-            tensor=tensor,
-        )
-    return tensor
 
 
 def schmidt_report(tensor: CouplingTensor) -> SchmidtReport:

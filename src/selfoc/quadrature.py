@@ -106,6 +106,8 @@ def gauss_hermite(order: int) -> QuadratureRule:
     -------
     QuadratureRule
         Immutable rule with symmetric nodes; sum of weights is sqrt(pi).
+        Nodes with |x| >= 1 are within 0.54 ulp of 50-digit zeros at orders
+        1000-2048; inner ones within 5.8e-17 absolute (16.5 ulps at worst).
 
     Raises
     ------

@@ -257,6 +257,18 @@ class TestScenarioFiles:
         assert code == 0
         assert out.splitlines()[0] == "n_prime,amplitude,probability"
 
+    def test_bad_format_flag(self, capsys):
+        code, out, err = invoke(capsys, "spectrum1d", "--ratio", "3", "--D", "9", "--format", "xml")
+        assert (code, out) == (2, "")
+        assert "--format must be one of ('csv', 'json', 'plot'), got 'xml'" in err
+
+    def test_bad_format_in_file(self, capsys, tmp_path):
+        path = tmp_path / "s.scenario"
+        path.write_text("ratio = 3\nD = 9\nformat = xml\n")
+        code, out, err = invoke(capsys, "spectrum1d", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert "--format must be one of ('csv', 'json', 'plot'), got 'xml'" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "spectrum1d", "--scenario", str(tmp_path / "nope.scenario")

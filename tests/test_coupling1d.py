@@ -82,6 +82,15 @@ class TestDualPath:
             assert agree(a, b), (w, wp, d, n, m, a, b)
 
 
+def assert_derived_fields(sp):
+    """n_prime, probability and cutoff follow from the stored amplitude, and
+    the captured mass is the running sum of the probabilities."""
+    assert len(sp) == sp.cutoff + 1
+    assert np.array_equal(sp.n_prime, np.arange(sp.cutoff + 1))
+    assert sp.probability.tobytes() == (sp.amplitude * sp.amplitude).tobytes()
+    assert sp.captured_mass == np.cumsum(sp.probability)[-1]
+
+
 class TestSpectrum:
     @pytest.mark.parametrize("n", [0, 5, 20])
     @pytest.mark.parametrize("wp,d", [(3.0, 3.0), (1.5, 0.0), (5.0, 2.0), (0.6, 1.5)])
@@ -136,6 +145,19 @@ class TestSpectrum:
         assert partial.cutoff == 8
         assert partial.captured_mass < 1.0 - 1e-8
         assert info.value.captured_mass == partial.captured_mass
+
+    def test_derived_fields_of_a_finished_spectrum(self):
+        sp = spectrum1d(transition(1.0, 3.0, 3.0, 2))
+        assert_derived_fields(sp)
+        assert sp.captured_mass >= 1.0 - 1e-8
+
+    def test_derived_fields_of_a_partial_spectrum(self):
+        with pytest.raises(PartialSpectrumError) as info:
+            spectrum1d(transition(1.0, 3.0, 3.0, 2), cap=10)
+        sp = info.value.spectrum
+        assert_derived_fields(sp)
+        assert sp.cutoff == 10
+        assert sp.captured_mass < 1.0 - 1e-8
 
     @pytest.mark.parametrize(
         "ratio,D,n", [(3.0, 9.0, 200), (2.0, 900.0, 40), (2.371, 486.0, 31), (3.026, 792.2, 32)]

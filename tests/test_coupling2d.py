@@ -641,6 +641,56 @@ def uncoupled_transitions(source, target, n_x, n_y):
     return [Transition1D(s, t, n) for (s, t), n in zip(frames, (n_x, n_y))]
 
 
+def spy_growth(monkeypatch):
+    """Record the state of every growth step and of every finish, the one
+    build of the tensor's values."""
+    steps, finishes = [], []
+    grow = coupling2d._grow_rectangle
+
+    def counted(evaluate, finish, *args):
+        def step(tops):
+            out = evaluate(tops)
+            steps.append(out[0])
+            return out
+
+        def once(state):
+            finishes.append(state)
+            return finish(state)
+
+        return grow(step, once, *args)
+
+    monkeypatch.setattr(coupling2d, "_grow_rectangle", counted)
+    return steps, finishes
+
+
+class TestValuesBuiltOnce:
+    def test_separable_outer_product_once(self, monkeypatch):
+        steps, finishes = spy_growth(monkeypatch)
+        outer_calls = []
+        outer = np.outer
+
+        def counted_outer(*args):
+            outer_calls.append(args)
+            return outer(*args)
+
+        monkeypatch.setattr(np, "outer", counted_outer)
+        # the y axis grows to column 96: three steps
+        tensor = spectrum2d_separable(*PINNED_REQUESTS["one-side-long-cap256"])
+        assert len(steps) >= 3
+        assert len(finishes) == len(outer_calls) == 1
+        assert tensor.values.shape == tuple(a.size for a in finishes[0])
+
+    def test_coupled_sub_block_copied_once(self, monkeypatch):
+        steps, finishes = spy_growth(monkeypatch)
+        tensor = coupled_tensor(*PINNED_REQUESTS["symmetric-tie"])
+        assert len(steps) >= 3
+        assert len(finishes) == 1
+        # every step reads a view of the block computed ahead, not a copy
+        assert all(values.base is not None for values in steps)
+        assert tensor.values.base is None
+        assert tensor.values.shape == finishes[0].shape
+
+
 class TestTargetModeMoments:
     @pytest.mark.parametrize("n_x,n_y", [(0, 0), (1, 0), (2, 3), (5, 1), (40, 7)])
     def test_uncoupled_pair_matches_1d_moments(self, n_x, n_y):

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import os
@@ -323,3 +324,30 @@ def test_index_factors_built_only_by_first_table():
         check=True,
     )
     assert proc.stdout.split() == ["0", "1"]
+
+
+def _zero_to_50_digits(order: int, x: float) -> decimal.Decimal:
+    """The zero of H_order next to x: three Newton steps on the three-term
+    recurrence in 50-digit decimal arithmetic, H_order' = 2 order H_(order-1)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        z = decimal.Decimal(x)
+        for _ in range(3):
+            h_prev, h = decimal.Decimal(0), decimal.Decimal(1)
+            for k in range(order):
+                h_prev, h = h, 2 * z * h - 2 * k * h_prev
+            z -= h / (2 * order * h_prev)
+        return z
+
+
+@pytest.mark.parametrize("order", [1830, 2048])
+def test_node_accuracy_at_high_order(order):
+    # the six innermost positive nodes, within 1e-16 absolute (order 1830's
+    # innermost is 16.5 ulps off), and six from |x| = 1 to the edge, within
+    # 2 ulps
+    nodes = gauss_hermite(order).nodes
+    positive = nodes[nodes > 0.0]
+    outer = np.linspace(np.searchsorted(positive, 1.0), positive.size - 1, 6).astype(int)
+    for x in positive[:6].tolist() + positive[outer].tolist():
+        error = abs(float(decimal.Decimal(x) - _zero_to_50_digits(order, x)))
+        assert error <= (1e-16 if x < 1.0 else 2.0 * math.ulp(x)), (x, error)
