@@ -287,7 +287,7 @@ def fc_candidates(t: Transition1D) -> dict:
 
     def level(x_star: float) -> int:
         dx = x_star - t.target.center
-        value = 0.5 * wp * wp * (dx * dx) / wp - 0.5
+        value = 0.5 * wp * (dx * dx) - 0.5
         if not math.isfinite(value):
             raise NumericOverflowError(
                 f"vertical-transition level at x*={x_star!r} is not finite"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling1d import Transition1D, _first_extent
+from .coupling1d import Transition1D, _first_extent, quad_order_for
 from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialTensorError
 from .hermite import (
     MODE_INDEX_CAP,
@@ -235,6 +235,7 @@ def spectrum2d_separable(
     row is filled ahead at once to where its mass should end, the first
     extent of :func:`selfoc.coupling1d.spectrum1d`, and the growth is
     replayed on leading parts of the rows; a step past that extent fills on.
+    An overflow in the first fill is refused, as in ``spectrum1d``.
     """
     if source.gamma != 0.0 or target.gamma != 0.0:
         raise ValueError("separable spectra require gamma = 0 on both sides")
@@ -246,14 +247,8 @@ def spectrum2d_separable(
 
     rows = []
     for s, t, n in zip(_channel_frames(source), _channel_frames(target), (n_x, n_y)):
-        kernel = build_kernel(s, t)
-        row = _TableBuilder(kernel, n)
-        try:
-            row.extend(min(cap, _first_extent(Transition1D(s, t, n))))
-        except NumericOverflowError:
-            # maybe past every column the growth reads: it reports overflow
-            # where it reads it, as an unfilled row does
-            row = _TableBuilder(kernel, n)
+        row = _TableBuilder(build_kernel(s, t), n)
+        row.extend(min(cap, _first_extent(Transition1D(s, t, n))))
         rows.append(row)
 
     def evaluate(tops):
@@ -317,8 +312,7 @@ def _coupled_block(
     c0 = 0.5 * (c_s @ a_s @ c_s + c_t @ a_t @ c_t - rbar @ q @ rbar)
     evals, vecs = np.linalg.eigh(q)
 
-    order = (n_x + n_y + top1 + top2 + 1) // 2 + 8
-    rule = gauss_hermite(order)
+    rule = gauss_hermite(quad_order_for(n_x + n_y, top1 + top2))
     t1 = rule.nodes[:, None]
     t2 = rule.nodes[None, :]
     col1 = vecs[:, 0] * math.sqrt(2.0 / evals[0])

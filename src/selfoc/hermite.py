@@ -336,15 +336,18 @@ class _TableBuilder:
             self._lo[n] = np.concatenate([self._lo[n][:lo_col], val[1]])
         self.m = m_new
 
-        # the columns before lo_col were found finite by earlier fills
-        for n in range(self.n_rows + 1):
-            bad = ~np.isfinite(self._hi[n][lo_col:])
-            if bad.any():
-                m_bad = lo_col + int(np.argmax(bad))
-                raise NumericOverflowError(
-                    f"scaled Hermite table overflowed at entry (n={n}, m={m_bad})",
-                    index=(n, m_bad),
-                )
+        # earlier fills found the columns before lo_col finite, and column m
+        # depends only on columns <= m: the first column holding a non-finite
+        # entry, at its lowest row, is named however the columns were split
+        first = [
+            m_new + 1 if (ok := np.isfinite(h[lo_col:])).all() else lo_col + int(ok.argmin())
+            for h in self._hi
+        ]
+        n = first.index(m_bad := min(first))
+        if m_bad <= m_new:
+            raise NumericOverflowError(
+                f"scaled Hermite table overflowed at entry (n={n}, m={m_bad})", index=(n, m_bad)
+            )
 
     def _row0(self, m_new: int):
         """Row 0 for columns self.m+1..m_new as lists of high and low words.

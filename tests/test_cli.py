@@ -178,7 +178,7 @@ class TestExitCodes:
             (("spectrum1d", "--omega-prime", "1e300", "--d", "0"), 3),
             (("spectrum1d", "--ratio", "1e-300", "--D", "0"), 4),
             (("matrix", "--ratio", "1e-300", "--D", "0", "--n-max", "1", "--n-prime-max", "3"), 4),
-            (("fc-estimate", "--ratio", "1e300", "--D", "1"), 4),
+            (("fc-estimate", "--ratio", "1e300", "--D", "1e9"), 4),
             (("spectrum2d", "--ratio-x", "1e300", "--ratio-y", "2", "--cap", "16"), 3),
             (("coupled2d", "--ratio-x", "1e300", "--ratio-y", "2", "--gamma-prime", "1",
               "--cap", "16"), 4),
@@ -309,6 +309,12 @@ class TestFcEstimate:
         assert payload["estimate"] == payload["near"]
         assert "far" in payload
         assert "candidates" in err
+
+    def test_finite_level_where_the_squared_frequency_overflows(self, capsys):
+        code, out, err = invoke(capsys, "fc-estimate", "--omega-prime", "1e200", "--d", "1e-99")
+        assert code == 0
+        assert out == "50\n"
+        assert "estimate: 50" in err
 
 
 class TestMatrix:

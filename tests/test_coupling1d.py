@@ -311,3 +311,9 @@ class TestFcEstimate:
 
     def test_clamped_at_zero(self):
         assert fc_estimate(transition(1.0, 5.0, 0.0, 0)) == 0
+
+    def test_finite_level_where_the_squared_frequency_overflows(self):
+        # omega'^2 = 1e400 leaves double range; the level omega' d^2 / 2 - 1/2
+        # is 49.5, which rounds up to 50
+        cand = fc_candidates(transition(1.0, 1e200, 1e-99, 0))
+        assert cand["near"] == cand["far"] == 50

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import selfoc.coupling1d as coupling1d
 import selfoc.coupling2d as coupling2d
 from selfoc import (
     CouplingTensor,
@@ -20,6 +21,7 @@ from selfoc import (
     overlap_closed,
     overlap_coupled,
     schmidt_report,
+    spectrum1d,
     spectrum2d_separable,
 )
 from selfoc.coupling1d import _n_prime_moments
@@ -613,17 +615,18 @@ class TestSeparableReplay:
         assert float(mass).hex() == float(want_mass).hex()
         assert partial == want_partial
 
-    def test_fill_ahead_past_the_columns_read_is_not_refused(self, monkeypatch):
-        # the growth stops at (33, 33): an overflow the fill-ahead meets
-        # further out refuses nothing, as it did not before fill-ahead
+    def test_fill_ahead_overflow_is_refused_as_in_spectrum1d(self, monkeypatch):
+        # the growth would stop at (33, 33), short of the stub's overflow at
+        # 49; a first fill to 1000 columns meets it and refuses, in both paths
         request_ = PINNED_REQUESTS["identical"]
-        want = separable_reference(*request_, builder=_OverflowPast)
-        monkeypatch.setattr(coupling2d, "_TableBuilder", _OverflowPast)
-        monkeypatch.setattr(coupling2d, "_first_extent", lambda t: 1000)
-        values, mass, partial = separable_result(request_)
-        assert values.shape == want[0].shape == (33, 33)
-        assert values.tobytes() == want[0].tobytes()
-        assert (mass, partial) == want[1:]
+        for module in (coupling1d, coupling2d):
+            monkeypatch.setattr(module, "_TableBuilder", _OverflowPast)
+            monkeypatch.setattr(module, "_first_extent", lambda t: 1000)
+        with pytest.raises(NumericOverflowError) as want:
+            spectrum1d(uncoupled_transitions(*request_[:4])[0])
+        with pytest.raises(NumericOverflowError) as got:
+            spectrum2d_separable(*request_)
+        assert (got.value.index, str(got.value)) == (want.value.index, str(want.value))
 
     def test_overflow_the_growth_reads_is_refused_where_it_was(self, monkeypatch):
         # the y axis grows to column 96, past the stub's overflow at 49

@@ -340,6 +340,25 @@ class TestTableChunking:
             assert np.array_equal(grown._hi[k], once._hi[k])
             assert np.array_equal(grown._lo[k], once._lo[k])
 
+    def test_overflow_entry_does_not_depend_on_the_split(self):
+        # row 20 leaves double range first, at column 1728, and lower rows
+        # later (row 6 at 1981, row 0 at 2103): a scan of each block row by
+        # row would name an entry that depends on the split
+        kernel = build_kernel(OscillatorFrame(1.0), OscillatorFrame(30.0, math.sqrt(5000.0)))
+        splits = [
+            [4096], [_FILL_BLOCK, 4096], [1100, 4096], [1000, 2000], [1700, 1750, 2000],
+            [1727, 1728, 2000], [64, 96, 144, 216, 324, 486, 729, 1093, 1639, 2458],
+            range(4097),  # column by column
+        ]
+        named = set()
+        for steps in splits:
+            builder = _TableBuilder(kernel, 20)
+            with pytest.raises(NumericOverflowError) as info:
+                for m in steps:
+                    builder.extend(m)
+            named.add((info.value.index, str(info.value)))
+        assert named == {((20, 1728), "scaled Hermite table overflowed at entry (n=20, m=1728)")}
+
 
 class _ReferenceFill:
     """The table fill as it was before the one-loop row-0 kernel: every
@@ -419,14 +438,16 @@ class _ReferenceFill:
             self.lo[n] = np.concatenate([self.lo[n][:lo_col], val[1]])
         self.m = m_new
 
-        for n in range(self.n_rows + 1):
-            bad = ~np.isfinite(self.hi[n])
-            if bad.any():
-                m_bad = int(np.argmax(bad))
-                raise NumericOverflowError(
-                    f"scaled Hermite table overflowed at entry (n={n}, m={m_bad})",
-                    index=(n, m_bad),
-                )
+        # column first: the first column holding a non-finite entry, at its
+        # lowest row
+        bad = ~np.isfinite(np.vstack(self.hi))
+        if bad.any():
+            m_bad = int(np.argmax(bad.any(axis=0)))
+            n = int(np.argmax(bad[:, m_bad]))
+            raise NumericOverflowError(
+                f"scaled Hermite table overflowed at entry (n={n}, m={m_bad})",
+                index=(n, m_bad),
+            )
 
 
 def seeded_fill_cases(count=24):
@@ -473,8 +494,9 @@ class TestFillBitsPinned:
         [
             # exp(-750) prefactor: row 0 passes double range at column 1699
             (3.0, 2000.0, 0, [1800]),
+            # row 4 passes it first, at column 1641
             (3.0, 2000.0, 4, [300, 1100, 1800]),
-            # row 6 passes it first, at column 1981
+            # row 20 passes it first, at column 1728 (row 6 at 1981)
             (30.0, 5000.0, 20, [1000, 2000]),
         ],
     )
