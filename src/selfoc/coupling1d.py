@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError, PartialSpectrumError
+from .errors import CapExceededError, NumericOverflowError, PartialSpectrumError
 from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
@@ -291,6 +291,11 @@ def fc_candidates(t: Transition1D) -> dict:
         if not math.isfinite(value):
             raise NumericOverflowError(
                 f"vertical-transition level at x*={x_star!r} is not finite"
+            )
+        if value >= MODE_INDEX_CAP + 0.5:  # rounds past the cap
+            raise CapExceededError(
+                f"vertical-transition level at x*={x_star!r} is {value:.6g}, "
+                f"past the hard cap {MODE_INDEX_CAP}"
             )
         return max(0, math.floor(value + 0.5))  # half-integers round up
 

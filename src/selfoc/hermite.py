@@ -23,10 +23,6 @@ from .errors import CapExceededError, NumericOverflowError
 #: Hard cap on any mode index; larger requests are refused outright.
 MODE_INDEX_CAP = 4096
 
-#: Widest column block one table fill step computes; wider extensions are
-#: split so the step's temporaries stay small.
-_FILL_BLOCK = 1024
-
 _PI_QUARTER = math.pi ** -0.25
 _RESCALE_AT, _RESCALE_BITS = 1e150, 512  # see _ladder
 
@@ -276,15 +272,17 @@ class _TableBuilder:
     arithmetic; carries the kernel's prefactor, so ``amplitude`` is the
     top row as overlap amplitudes.
 
-    Row 0 is filled sequentially along m (three-term recurrence) in one loop
-    over Python floats that runs the IEEE operations of the ``_dd`` calls
-    in their order, so its bits are those the calls would give; the Dekker
-    splits of the coefficients and index factors are taken once per block,
-    and that of each new entry once.  Each further row depends only on the
-    two rows below it, so rows vectorize over whole column blocks of at
-    most ``_FILL_BLOCK`` columns.  Growth is by column blocks so spectra can
-    extend their cutoff without recomputation; every entry comes out the
-    same however the columns were split into ``extend`` calls.
+    High and low words live in two arrays ``hi`` and ``lo`` of n_rows + 1
+    rows, filled in place: storage column j is table column j - 1, and
+    column 0 holds the zeros of column m = -1.  Row 0 is filled along m
+    (three-term recurrence) in one loop over Python floats that runs the
+    IEEE operations of the ``_dd`` calls in their order, so its bits are
+    those the calls would give; the Dekker splits of the coefficients and
+    index factors are taken once per fill, and that of each new entry once.
+    Each further row depends only on the two rows below it, so rows
+    vectorize over the new columns.  Every entry comes out the same however
+    the columns were split into ``extend`` calls, so spectra can extend
+    their cutoff without recomputation.
     """
 
     def __init__(self, kernel: OverlapKernel, n_rows: int):
@@ -292,65 +290,49 @@ class _TableBuilder:
         self.prefactor = kernel.prefactor
         self.n_rows = n_rows
         self.m = -1  # highest filled column
-        self._hi = [np.empty(0) for _ in range(n_rows + 1)]
-        self._lo = [np.empty(0) for _ in range(n_rows + 1)]
+        self.hi, self.lo = np.zeros((2, n_rows + 1, 1))
 
     def extend(self, m_new: int):
         """Fill all rows out to column ``m_new`` (inclusive)."""
         if m_new <= self.m:
             return
+        sq_hi, sq_lo, inv_hi, inv_lo = _index_factors()
+        c, lo_col = self.c, self.m + 1
+        block = np.zeros((self.n_rows + 1, m_new - self.m))
+        self.hi = hi = np.concatenate([self.hi, block], axis=1)
+        self.lo = lo = np.concatenate([self.lo, block], axis=1)
+        self._row0(m_new)
+
+        # rows n >= 1 over the new columns m; storage column m holds column
+        # m - 1, so ``shift`` reads h[n - 1, m - 1] and indexes sqrt(m/2)
+        new, shift = slice(lo_col + 1, m_new + 2), slice(lo_col, m_new + 1)
+        sq_m = (sq_hi[shift], sq_lo[shift])
         # overflow surfaces as a typed error below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            while self.m < m_new:
-                self._extend(min(m_new, self.m + _FILL_BLOCK))
-
-    def _extend(self, m_new: int):
-        sq_hi, sq_lo, inv_hi, inv_lo = _index_factors()
-        c = self.c
-        lo_col = self.m + 1
-        new_hi, new_lo = self._row0(m_new)
-        self._hi[0] = np.concatenate([self._hi[0], new_hi])
-        self._lo[0] = np.concatenate([self._lo[0], new_lo])
-
-        # rows n >= 1, vectorized over the new column block
-        sl = slice(lo_col, m_new + 1)
-        sq_m = (sq_hi[sl], sq_lo[sl])
-        for n in range(1, self.n_rows + 1):
-            prev = (self._hi[n - 1][sl], self._lo[n - 1][sl])
-            if lo_col == 0:
-                shifted = (np.concatenate([[0.0], self._hi[n - 1][lo_col:m_new]]),
-                           np.concatenate([[0.0], self._lo[n - 1][lo_col:m_new]]))
-            else:
-                shifted = (self._hi[n - 1][lo_col - 1:m_new], self._lo[n - 1][lo_col - 1:m_new])
-            acc = dd.mul(c.ry1, prev)
-            if n >= 2:
-                below = (self._hi[n - 2][sl], self._lo[n - 2][sl])
-                t = dd.mul(c.r11, below)
-                t = dd.mul(t, (sq_hi[n - 1], sq_lo[n - 1]))
+            for n in range(1, self.n_rows + 1):
+                acc = dd.mul(c.ry1, (hi[n - 1, new], lo[n - 1, new]))
+                if n >= 2:
+                    t = dd.mul(c.r11, (hi[n - 2, new], lo[n - 2, new]))
+                    t = dd.mul(t, (sq_hi[n - 1], sq_lo[n - 1]))
+                    acc = dd.sub(acc, t)
+                t = dd.mul(c.r12, (hi[n - 1, shift], lo[n - 1, shift]))
+                t = dd.mul(t, sq_m)
                 acc = dd.sub(acc, t)
-            t = dd.mul(c.r12, shifted)
-            t = dd.mul(t, sq_m)
-            acc = dd.sub(acc, t)
-            val = dd.mul(acc, (inv_hi[n - 1], inv_lo[n - 1]))
-            self._hi[n] = np.concatenate([self._hi[n][:lo_col], val[0]])
-            self._lo[n] = np.concatenate([self._lo[n][:lo_col], val[1]])
+                hi[n, new], lo[n, new] = dd.mul(acc, (inv_hi[n - 1], inv_lo[n - 1]))
         self.m = m_new
 
         # earlier fills found the columns before lo_col finite, and column m
         # depends only on columns <= m: the first column holding a non-finite
         # entry, at its lowest row, is named however the columns were split
-        first = [
-            m_new + 1 if (ok := np.isfinite(h[lo_col:])).all() else lo_col + int(ok.argmin())
-            for h in self._hi
-        ]
-        n = first.index(m_bad := min(first))
-        if m_bad <= m_new:
+        if not (ok := np.isfinite(hi[:, new])).all():
+            m_bad = lo_col + int(ok.all(axis=0).argmin())
+            n = int(ok[:, m_bad - lo_col].argmin())
             raise NumericOverflowError(
                 f"scaled Hermite table overflowed at entry (n={n}, m={m_bad})", index=(n, m_bad)
             )
 
     def _row0(self, m_new: int):
-        """Row 0 for columns self.m+1..m_new as lists of high and low words.
+        """Row 0 for columns self.m+1..m_new, written into the store.
 
         Column m+1 is dd.mul(dd.sub(dd.mul(ry2, h[m]), dd.mul(dd.mul(r22,
         h[m-1]), sq[m])), inv[m]), written out operation by operation (the
@@ -359,15 +341,16 @@ class _TableBuilder:
         splitter = dd._SPLIT
         a0, a1 = float(self.c.ry2[0]), float(self.c.ry2[1])
         g0, g1 = float(self.c.r22[0]), float(self.c.r22[1])
-        new_hi, new_lo = ([], []) if self.m >= 0 else ([1.0], [0.0])
+        self.hi[0, 1] = 1.0  # h[0, 0]; later fills rewrite it unchanged
         m_old = max(self.m, 0)
-        # the last two filled columns; with only one, q = c is never read
-        hi, lo = self._hi[0][-2:].tolist() + new_hi, self._lo[0][-2:].tolist() + new_lo
-        q0, c0, q1, c1 = hi[0], hi[-1], lo[0], lo[-1]
+        # h[m_old - 1] and h[m_old]; at m_old = 0 q is the zero column, never read
+        q0, c0 = self.hi[0, m_old:m_old + 2].tolist()
+        q1, c1 = self.lo[0, m_old:m_old + 2].tolist()
         (ah, al), (gh, gl), (qh, ql), (ch, cl) = map(dd.split, (a0, g0, q0, c0))
         sq0, sq1, inv0, inv1 = (f[m_old:m_new] for f in _index_factors())
         factors = (sq0, sq1, *dd.split(sq0), inv0, inv1, *dd.split(inv0))
         columns = zip(range(m_old, m_new), *(f.tolist() for f in factors))
+        new_hi, new_lo = [], []
         for m, s0, s1, sh, sl, v0, v1, vh, vl in columns:
             # acc = ry2 * h[m]
             p = a0 * c0
@@ -408,11 +391,12 @@ class _TableBuilder:
             cl = c0 - ch
             new_hi.append(c0)
             new_lo.append(c1)
-        return new_hi, new_lo
+        self.hi[0, m_old + 2:m_new + 2] = new_hi
+        self.lo[0, m_old + 2:m_new + 2] = new_lo
 
     def row(self, n: int) -> np.ndarray:
         """Row n rounded to double."""
-        return self._hi[n] + self._lo[n]
+        return self.hi[n, 1:] + self.lo[n, 1:]
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -420,7 +404,7 @@ class _TableBuilder:
         return self.prefactor * self.row(self.n_rows)
 
     def table(self) -> np.ndarray:
-        return np.vstack([self._hi[n] + self._lo[n] for n in range(self.n_rows + 1)])
+        return self.hi[:, 1:] + self.lo[:, 1:]
 
 
 def _refuse_overfull(mass, what: str):

@@ -164,5 +164,7 @@ def integrate(rule: QuadratureRule, f, shift: float = 0.0, scale: float = 1.0) -
     """
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale}")
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
     x = shift + scale * rule.nodes
     return float(scale * np.dot(rule.weights, f(x)))

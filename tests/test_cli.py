@@ -316,6 +316,15 @@ class TestFcEstimate:
         assert out == "50\n"
         assert "estimate: 50" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("--ratio", "1e300", "--D", "1"), ("--ratio", "3", "--D", "1e300")]
+    )
+    def test_level_past_the_cap_rejected(self, capsys, argv):
+        code, out, err = invoke(capsys, "fc-estimate", *argv)
+        assert code == 2
+        assert out == ""
+        assert "past the hard cap 4096" in err
+
 
 class TestMatrix:
     def test_csv_shape_and_report(self, capsys):

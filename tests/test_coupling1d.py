@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from selfoc import (
+    MODE_INDEX_CAP,
+    CapExceededError,
     NumericOverflowError,
     OscillatorFrame,
     PartialSpectrumError,
@@ -317,3 +319,11 @@ class TestFcEstimate:
         # is 49.5, which rounds up to 50
         cand = fc_candidates(transition(1.0, 1e200, 1e-99, 0))
         assert cand["near"] == cand["far"] == 50
+
+    def test_level_past_the_cap_is_refused(self):
+        # d^2 = 4096 and omega' = 4096.5/2048 or 4097/2048 put the level at
+        # exactly 4096 or 4096.5, which rounds up past the cap
+        assert fc_estimate(transition(1.0, 4096.5 / 2048, 64.0, 0)) == MODE_INDEX_CAP
+        for wp, d in [(4097 / 2048, 64.0), (1e300, 1.0), (3.0, 1e150)]:
+            with pytest.raises(CapExceededError, match="past the hard cap 4096"):
+                fc_candidates(transition(1.0, wp, d, 0))

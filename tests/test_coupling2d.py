@@ -593,11 +593,13 @@ def separable_result(request_):
 
 
 class _OverflowPast(_TableBuilder):
-    """A table whose entries past column 48 overflow."""
+    """A table whose entries past column 48 overflow: a call that fills past
+    that column raises after the fill."""
 
-    def _extend(self, m_new):
-        super()._extend(m_new)
-        if m_new > 48:
+    def extend(self, m_new):
+        fills_past = m_new > max(self.m, 48)
+        super().extend(m_new)
+        if fills_past:
             raise NumericOverflowError("stub overflow at (n=0, m=49)", index=(0, 49))
 
 

@@ -19,7 +19,11 @@ from selfoc import (
     scaled_hermite_table,
 )
 from selfoc import _dd as dd
-from selfoc.hermite import _FILL_BLOCK, _TableBuilder
+from selfoc.hermite import _TableBuilder
+
+#: Column block of the table fill before it filled in place: ``_ReferenceFill``
+#: still splits its fills into blocks this wide.
+_FILL_BLOCK = 1024
 
 
 def hermite_by_sum(n, xi):
@@ -337,8 +341,8 @@ class TestTableChunking:
         once.extend(self.STEPS[-1])
         assert grown.m == once.m == self.STEPS[-1]
         for k in range(n + 1):
-            assert np.array_equal(grown._hi[k], once._hi[k])
-            assert np.array_equal(grown._lo[k], once._lo[k])
+            assert np.array_equal(grown.hi[k, 1:], once.hi[k, 1:])
+            assert np.array_equal(grown.lo[k, 1:], once.lo[k, 1:])
 
     def test_overflow_entry_does_not_depend_on_the_split(self):
         # row 20 leaves double range first, at column 1728, and lower rows
@@ -476,7 +480,13 @@ class TestFillBitsPinned:
     """Every entry of the table, high and low word, equals the plain
     ``_dd``-call fill bit for bit, however the columns are split."""
 
-    @pytest.mark.parametrize("case", seeded_fill_cases(), ids=lambda c: f"r{c[0]:.2f}-D{c[1]:.0f}-n{c[2]}")
+    @pytest.mark.parametrize(
+        "case",
+        seeded_fill_cases()
+        # single extends of up to 4096 columns, which the blocked fill split
+        + [(1.5, 0.0, 20, [4096]), (2.0, 100.0, 8, [1024, 3000, 4096])],
+        ids=lambda c: f"r{c[0]:.2f}-D{c[1]:.0f}-n{c[2]}",
+    )
     def test_matches_dd_call_fill(self, case):
         ratio, big_d, n, steps = case
         kernel = build_kernel(OscillatorFrame(1.0), OscillatorFrame(ratio, math.sqrt(big_d)))
@@ -486,8 +496,8 @@ class TestFillBitsPinned:
             want.extend(m)
             assert builder.m == want.m == m
             for k in range(n + 1):
-                assert_same_bits(builder._hi[k], want.hi[k])
-                assert_same_bits(builder._lo[k], want.lo[k])
+                assert_same_bits(builder.hi[k, 1:], want.hi[k])
+                assert_same_bits(builder.lo[k, 1:], want.lo[k])
 
     @pytest.mark.parametrize(
         "ratio,big_d,n,steps",

@@ -200,10 +200,15 @@ class TestIntegrate:
         value = integrate(gauss_hermite(8), lambda x: x**2, shift=0.0, scale=s)
         assert value == pytest.approx(s**3 * SQRT_PI / 2, rel=1e-13)
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
     def test_bad_scale(self, scale):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
             integrate(gauss_hermite(4), lambda x: x, scale=scale)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_bad_shift(self, shift):
+        with pytest.raises(ValueError, match="shift must be finite"):
+            integrate(gauss_hermite(10), lambda x: x, shift=shift)
 
 
 def test_rules_are_cached_and_shared():
