@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import json
 import math
 import os
@@ -139,6 +140,28 @@ def test_scaled_pass_bits_pinned():
         with np.errstate(under="ignore"):
             w = SQRT_PI * np.exp(-2.0 * ref[3][:order]) / ref[2][:order]
         assert rule.weights.tobytes() == w.tobytes(), order
+
+
+#: SHA-256 of nodes.tobytes() + weights.tobytes(), recorded before the
+#: Newton passes ran on the non-negative half of the nodes only.
+RULE_DIGESTS = {
+    1: "eb58aac9bfc37805894d3b6d4ed21ff4dc9a8096eabcd92b092a8827ad392d28",
+    2: "a012d445753d08f02e1287f4480ec6db6471d23ce3c057f8670efa5af874d0d4",
+    3: "fe9881d6f3e545d6d20e2d2e685a007a20fb93d382e6eb0c55ebbdb5052e6c77",
+    17: "593a24aaefc599d102ad0e237a2b10cc14624c13d3aa927f0158ddf60a581b2d",
+    60: "3e712e9dfec8e4c8f204d988de0ccbe06f80fd5b006b8462e6b70f5b8123b7f0",
+    127: "9efe635b8fcaf15d852d04c3e2d8bd8b0838fce3ffd5b3ec1b21332d5e590bba",
+    200: "c746fd739944f946a44ab274ee9d925cb9645b63c8254b6fbe21c6365b8cd3a4",
+    555: "9fb7e1ac04a25eb356fa9fe2bfb39cb562fc372ba18a88c8a489e25b115f82fa",
+    2048: "89d75739c55674b518b854df76b0e60e2f00c1893ec5eed2e9126271dfdcdfd2",
+}
+
+
+@pytest.mark.parametrize("order", sorted(RULE_DIGESTS))
+def test_rule_bits_pinned(order):
+    rule = gauss_hermite(order)
+    digest = hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest()
+    assert digest == RULE_DIGESTS[order]
 
 
 class TestExactness:
