@@ -309,7 +309,7 @@ def _dispatch(params):
         target = Waveguide2D(wpx, wpy, params["gamma-prime"], (dx, dy))
 
     if kind == "fc-estimate":
-        cand = fc_candidates(Transition1D(source, target, params["n"]))
+        cand = fc_candidates(Transition1D(source, target, params["n"]), cap)
         near = cand["near"]
         table = ((), [(near,)], (0,), lambda rows: {"estimate": near, **cand})
         return 0, table, [

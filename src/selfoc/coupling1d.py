@@ -276,13 +276,15 @@ def coupling_matrix(
     return CouplingMatrix(values=values, gram_defect=defect)
 
 
-def fc_candidates(t: Transition1D) -> dict:
+def fc_candidates(t: Transition1D, cap: int = MODE_INDEX_CAP) -> dict:
     """Vertical-transition candidates for the semiclassical estimate.
 
     For n = 0 the transition point is the density maximum (the source
     center); for excited modes the two classical turning points are the
-    candidates and the one nearer the target center is used.
+    candidates and the one nearer the target center is used.  A candidate
+    level past ``cap`` is refused with :class:`CapExceededError`.
     """
+    cap = check_mode_index(cap, "cap")
     w, wp = t.source.omega, t.target.omega
 
     def level(x_star: float) -> int:
@@ -292,10 +294,10 @@ def fc_candidates(t: Transition1D) -> dict:
             raise NumericOverflowError(
                 f"vertical-transition level at x*={x_star!r} is not finite"
             )
-        if value >= MODE_INDEX_CAP + 0.5:  # rounds past the cap
+        if value >= cap + 0.5:  # rounds past the cap
             raise CapExceededError(
                 f"vertical-transition level at x*={x_star!r} is {value:.6g}, "
-                f"past the hard cap {MODE_INDEX_CAP}"
+                f"past the hard cap {cap}"
             )
         return max(0, math.floor(value + 0.5))  # half-integers round up
 

@@ -30,7 +30,7 @@ from .hermite import (
 from .quadrature import gauss_hermite
 
 #: Default rectangle edge cap of the coupled (quadrature) path, kept well
-#: below MODE_INDEX_CAP because its cost rises with the square of the edge.
+#: below MODE_INDEX_CAP since a block's cost rises with the cube of the edge.
 COUPLED_CAP = 256
 
 
@@ -295,10 +295,14 @@ def _coupled_block(
 ) -> np.ndarray:
     """Amplitudes <(n_x, n_y) | (k1, k2)'> for k1 <= top1, k2 <= top2.
 
-    Tensor Gauss-Hermite in the frame diagonalizing the combined Gaussian
-    envelope of the four-factor product; every factor is a 1D oscillator
-    function along its own normal axis, evaluated via the scaled-Hermite
-    split so the Gaussian bookkeeping stays exact.  Overflow is computed
+    Tensor Gauss-Hermite on the combined Gaussian envelope Q, in target
+    normal coordinates u = F (r - c_t) sheared so that the side j with the
+    larger top (side 0 on ties) reads one node axis: u_j - ubar_j =
+    t_i / sqrt(s / 2), s the Schur complement of Q_oo in F Q F^T.  Side j's
+    Hermite stack is then (top_j + 1) x order; side o's, (top_o + 1) x
+    order^2, is summed with the weights over t_k before one product over
+    t_i.  Every factor is a 1D oscillator function via the scaled-Hermite
+    split, so the Gaussian bookkeeping stays exact.  Overflow is computed
     silently: callers refuse the part they read if it is not finite
     (``_refuse_nonfinite``), the one refusal.
     """
@@ -310,40 +314,36 @@ def _coupled_block(
     q = a_s + a_t
     rbar = np.linalg.solve(q, a_s @ c_s + a_t @ c_t)
     c0 = 0.5 * (c_s @ a_s @ c_s + c_t @ a_t @ c_t - rbar @ q @ rbar)
-    evals, vecs = np.linalg.eigh(q)
+    f = nm_t.axes
+    q_u = f @ q @ f.T
+    u_bar = f @ (rbar - c_t)
 
+    j, o = (0, 1) if top1 >= top2 else (1, 0)
+    c = q_u[o, o]
+    shear = q_u[j, o] / c
+    s = q_u[j, j] - q_u[j, o] * shear
     rule = gauss_hermite(quad_order_for(n_x + n_y, top1 + top2))
-    t1 = rule.nodes[:, None]
-    t2 = rule.nodes[None, :]
-    col1 = vecs[:, 0] * math.sqrt(2.0 / evals[0])
-    col2 = vecs[:, 1] * math.sqrt(2.0 / evals[1])
-    x = rbar[0] + t1 * col1[0] + t2 * col2[0]
-    y = rbar[1] + t1 * col1[1] + t2 * col2[1]
+    v_j = rule.nodes / np.sqrt(s / 2.0)
+    u_j = u_bar[j] + v_j
+    u_o = u_bar[o] + rule.nodes / np.sqrt(c / 2.0) - shear * v_j[:, None]
+    g = nm_s.axes @ f.T
+    d = nm_s.axes @ (c_t - c_s)
 
-    def xi(axis, freq, center):
-        u = axis[0] * (x - center[0]) + axis[1] * (y - center[1])
-        return u * math.sqrt(freq)
+    def src_xi(m):
+        return (d[m] + g[m, j] * u_j[:, None] + g[m, o] * u_o) * math.sqrt(nm_s.frequencies[m])
 
-    src = (
-        hermite_scaled(n_x, xi(nm_s.axes[0], nm_s.omega_plus, c_s))
-        * hermite_scaled(n_y, xi(nm_s.axes[1], nm_s.omega_minus, c_s))
+    tops, freqs = (top1, top2), nm_t.frequencies
+    pure = _poly_stack(tops[j], u_j * math.sqrt(freqs[j]))
+    mixed = _poly_stack(tops[o], u_o * math.sqrt(freqs[o]))
+    weight = (
+        rule.weights[:, None] * rule.weights
+        * hermite_scaled(n_x, src_xi(0)) * hermite_scaled(n_y, src_xi(1))
     )
-    stack1 = _poly_stack(top1, xi(nm_t.axes[0], nm_t.omega_plus, c_t))
-    stack2 = _poly_stack(top2, xi(nm_t.axes[1], nm_t.omega_minus, c_t))
+    summed = np.einsum("aik,ik->ai", mixed, weight)
 
-    norm = (
-        (nm_s.omega_plus * nm_s.omega_minus * nm_t.omega_plus * nm_t.omega_minus)
-        ** 0.25
-        / math.pi
-    )
-    jac = 2.0 / math.sqrt(evals[0] * evals[1])
-    weight = rule.weights[:, None] * rule.weights[None, :] * src
-    m1 = stack1.reshape(top1 + 1, -1)
-    m2 = stack2.reshape(top2 + 1, -1)
-    # the weights go in place into the smaller stack: two stacks, not three
-    smaller = m1 if top1 <= top2 else m2
-    smaller *= weight.reshape(-1)
-    return norm * jac * math.exp(-c0) * (m1 @ m2.T)
+    norm = math.prod(nm_s.frequencies + nm_t.frequencies) ** 0.25 / math.pi
+    jac = 2.0 / (np.sqrt(s) * np.sqrt(c))
+    return norm * jac * math.exp(-c0) * (pure @ summed.T if j == 0 else summed @ pure.T)
 
 
 def _refuse_nonfinite(block: np.ndarray):
@@ -453,8 +453,8 @@ def coupled_tensor(
     leading sub-blocks of one block computed ahead to where the moments of
     the target indices say the mass ends (``_first_block``); a step past
     that block rebuilds it 16 indices past the edge asked for.  The default
-    cap is deliberately modest: quadrature cost rises quadratically with
-    the rectangle edge.
+    cap is deliberately modest: a block's Hermite stacks hold (t_small + 1)
+    order^2 + (t_big + 1) order doubles, a cube in the rectangle edge.
     """
     n_x = check_mode_index(n_x, "n_x")
     n_y = check_mode_index(n_y, "n_y")

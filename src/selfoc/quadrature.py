@@ -4,7 +4,7 @@ Nodes start from asymptotic zeros of H_order, Tricomi's in the interior
 and Gatteschi's Airy expansion for the outermost few (Gatteschi 2002,
 J. Comput. Appl. Math. 144:7; Townsend, Trogdon & Olver 2016, IMA J.
 Numer. Anal. 36:337), and are then Newton-polished on the Hermite-function
-recurrence; weights follow from the Christoffel sum of the same pass.
+recurrence; weights follow from the Christoffel sum of one last pass.
 Both read the rescaled levels of :func:`selfoc.hermite._ladder`, so rules
 stay generatable far past the order where raw polynomial values or bare
 Gaussians leave double range.  numpy is the only library used.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -80,6 +81,21 @@ def _scaled_pass(order: int, x: np.ndarray):
     return f, f_below, s, e * _RESCALE_BITS * math.log(2.0)
 
 
+def _newton_levels(order: int, x: np.ndarray):
+    """(f_order, f_{order-1}) of :func:`_scaled_pass`, bit for bit, without
+    the sum of squares a Newton step does not read."""
+    (f_below, e_below), (f, e) = islice(_ladder(x), order - 1, order + 1)
+    if e is not e_below:
+        f_below = f_below * np.ldexp(1.0, _RESCALE_BITS * (e_below - e))
+    return f, f_below
+
+
+def _mirror(half: np.ndarray, order: int, sign: float = 1.0) -> np.ndarray:
+    """Values at all ``order`` nodes, ascending, from those at the
+    non-negative half, for a quantity even (sign 1) or odd (-1) in x."""
+    return np.concatenate((sign * half[order % 2 :][::-1], half))
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Gauss-Hermite nodes (ascending) and weights for one order."""
@@ -122,21 +138,22 @@ def gauss_hermite(order: int) -> QuadratureRule:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
     order = int(order)
 
-    x = _initial_nodes(order)
-    # Newton polish on the Hermite function; dx = f_n / f_n'
+    # Newton polish on the Hermite function, dx = f_n / f_n', at the
+    # non-negative nodes: every pass is odd in x to the bit, so the negative
+    # nodes are the mirror image of these
+    x = _initial_nodes(order)[order // 2 :]
     sqrt2n = math.sqrt(2.0 * order)
     for _ in range(100):
-        f_n, f_nm1, _, _ = _scaled_pass(order, x)
+        f_n, f_nm1 = _newton_levels(order, x)
         dx = f_n / (sqrt2n * f_nm1 - x * f_n)
         x = x - dx
         if np.all(np.abs(dx) <= 1e-15 * np.maximum(1.0, np.abs(x))):
             break
-    # exact +/- pairing; the midpoint of an odd rule lands on 0.0
-    x = 0.5 * (x - x[::-1])
 
     f_n, f_nm1, s, logscale = _scaled_pass(order, x)
-    residual = np.abs(f_n / (sqrt2n * f_nm1 - x * f_n))
-    bad = residual > 1e-14 * np.maximum(1.0, np.abs(x))
+    residual = _mirror(np.abs(f_n / (sqrt2n * f_nm1 - x * f_n)), order)
+    nodes = _mirror(x, order, -1.0)
+    bad = residual > 1e-14 * np.maximum(1.0, np.abs(nodes))
     if bad.any():
         i = int(np.argmax(bad))
         raise ConvergenceError(
@@ -145,14 +162,14 @@ def gauss_hermite(order: int) -> QuadratureRule:
             node_index=i,
         )
     with np.errstate(under="ignore"):
-        w = SQRT_PI * np.exp(-2.0 * logscale) / s
+        w = _mirror(SQRT_PI * np.exp(-2.0 * logscale) / s, order)
 
     total = w.sum()
     if not math.isclose(total, SQRT_PI, rel_tol=1e-13):
         raise ConvergenceError(
             f"order-{order} rule failed the total-weight check: {total!r}"
         )
-    return QuadratureRule(order=order, nodes=x, weights=w)
+    return QuadratureRule(order=order, nodes=nodes, weights=w)
 
 
 def integrate(rule: QuadratureRule, f, shift: float = 0.0, scale: float = 1.0) -> float:

@@ -325,6 +325,15 @@ class TestFcEstimate:
         assert out == ""
         assert "past the hard cap 4096" in err
 
+    def test_level_past_the_requested_cap_rejected(self, capsys):
+        argv = ("fc-estimate", "--ratio", "3", "--D", "16", "--n", "3")
+        code, out, err = invoke(capsys, *argv, "--cap", "10")
+        assert (code, out) == (2, "")
+        assert "is 65.749, past the hard cap 10" in err
+        code, out, err = invoke(capsys, *argv, "--cap", "66")
+        assert (code, out) == (0, "2\n")
+        assert "far=66" in err
+
 
 class TestMatrix:
     def test_csv_shape_and_report(self, capsys):

@@ -327,3 +327,16 @@ class TestFcEstimate:
         for wp, d in [(4097 / 2048, 64.0), (1e300, 1.0), (3.0, 1e150)]:
             with pytest.raises(CapExceededError, match="past the hard cap 4096"):
                 fc_candidates(transition(1.0, wp, d, 0))
+
+    def test_level_past_a_given_cap_is_refused(self):
+        # near 2 (level 2.25) and far 66 (level 65.75): either past the cap
+        # is refused
+        t = transition(1.0, 3.0, 4.0, 3)
+        assert fc_candidates(t, cap=66) == fc_candidates(t)
+        for cap in (65, 10, 2):
+            with pytest.raises(CapExceededError, match=f"is 65.749, past the hard cap {cap}$"):
+                fc_candidates(t, cap=cap)
+        with pytest.raises(CapExceededError, match="is 2.25098, past the hard cap 1$"):
+            fc_candidates(t, cap=1)
+        with pytest.raises(ValueError, match="cap must be non-negative"):
+            fc_candidates(t, cap=-1)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,16 @@ from selfoc import (
     spectrum1d,
     spectrum2d_separable,
 )
-from selfoc.coupling1d import _n_prime_moments
+from selfoc.coupling1d import _n_prime_moments, quad_order_for
 from selfoc.coupling2d import _first_block, _target_mode_moments
-from selfoc.hermite import MODE_INDEX_CAP, _refuse_overfull, _TableBuilder, build_kernel
+from selfoc.hermite import (
+    MODE_INDEX_CAP,
+    _refuse_overfull,
+    _TableBuilder,
+    build_kernel,
+    hermite_scaled,
+)
+from selfoc.quadrature import gauss_hermite
 
 
 class TestWaveguide2D:
@@ -240,6 +248,97 @@ class TestOverlapCoupled:
             overlap_coupled(source, target, 0, 0, 0, 0)
         with pytest.raises(NumericOverflowError, match="block .* not finite"):
             coupled_tensor(source, target, 0, 0, 1e-8, 16)
+
+
+def _eigenframe_block(source, target, n_x, n_y, top1, top2):
+    """The coupled block integrated in the eigenframe of the combined
+    envelope Q = A_s + A_t: both target Hermite stacks on the full
+    order^2 node grid and one GEMM over it."""
+    nm_s, a_s = coupling2d._mode_factors(source)
+    nm_t, a_t = coupling2d._mode_factors(target)
+    c_s = np.asarray(source.center, dtype=float)
+    c_t = np.asarray(target.center, dtype=float)
+    q = a_s + a_t
+    rbar = np.linalg.solve(q, a_s @ c_s + a_t @ c_t)
+    c0 = 0.5 * (c_s @ a_s @ c_s + c_t @ a_t @ c_t - rbar @ q @ rbar)
+    evals, vecs = np.linalg.eigh(q)
+    rule = gauss_hermite(quad_order_for(n_x + n_y, top1 + top2))
+    t1, t2 = rule.nodes[:, None], rule.nodes[None, :]
+    col1 = vecs[:, 0] * math.sqrt(2.0 / evals[0])
+    col2 = vecs[:, 1] * math.sqrt(2.0 / evals[1])
+    x = rbar[0] + t1 * col1[0] + t2 * col2[0]
+    y = rbar[1] + t1 * col1[1] + t2 * col2[1]
+
+    def xi(axis, freq, center):
+        return (axis[0] * (x - center[0]) + axis[1] * (y - center[1])) * math.sqrt(freq)
+
+    src = hermite_scaled(n_x, xi(nm_s.axes[0], nm_s.omega_plus, c_s)) * hermite_scaled(
+        n_y, xi(nm_s.axes[1], nm_s.omega_minus, c_s)
+    )
+    stack1 = coupling2d._poly_stack(top1, xi(nm_t.axes[0], nm_t.omega_plus, c_t))
+    stack2 = coupling2d._poly_stack(top2, xi(nm_t.axes[1], nm_t.omega_minus, c_t))
+    norm = math.prod(nm_s.frequencies + nm_t.frequencies) ** 0.25 / math.pi
+    jac = 2.0 / math.sqrt(evals[0] * evals[1])
+    weight = (rule.weights[:, None] * rule.weights[None, :] * src).reshape(-1)
+    m1 = stack1.reshape(top1 + 1, -1) * weight
+    return norm * jac * math.exp(-c0) * (m1 @ stack2.reshape(top2 + 1, -1).T)
+
+
+def seeded_block_requests(count=36):
+    """Blocks with the first top above, equal to and below the second in
+    turn; target ratios 0.1-10, cross-couplings up to 0.95 of the
+    positive-definite limit, every third source cross-coupled too."""
+    rng = np.random.default_rng(15)
+    out = []
+    for i in range(count):
+        rx, ry = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=2))
+        gamma_t = 2.0 * rng.uniform(-0.95, 0.95) * rx * ry
+        target = Waveguide2D(rx, ry, gamma_t, tuple(rng.uniform(-2.0, 2.0, size=2)))
+        sy = rng.uniform(0.5, 2.0)
+        gamma_s = 2.0 * rng.uniform(-0.6, 0.6) * sy if i % 3 == 0 else 0.0
+        source = Waveguide2D(1.0, sy, gamma_s, tuple(rng.uniform(-1.0, 1.0, size=2)))
+        n_x, n_y = (int(k) for k in rng.integers(0, 4, size=2))
+        big, small = sorted(int(k) for k in rng.integers(0, 40, size=2))[::-1]
+        tops = [(big + 1, small), (big, big), (small, big + 1)][i % 3]
+        out.append((source, target, n_x, n_y, *tops))
+    return out
+
+
+class TestShearedBlock:
+    @pytest.mark.parametrize("request_", seeded_block_requests())
+    def test_matches_eigenframe_block(self, request_):
+        got = coupling2d._coupled_block(*request_)
+        want = _eigenframe_block(*request_)
+        assert got.shape == want.shape == (request_[4] + 1, request_[5] + 1)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("tops", [(30, 7), (7, 7), (7, 30)])
+    def test_larger_side_stack_is_1d(self, monkeypatch, tops):
+        stacks = []
+        poly_stack = coupling2d._poly_stack
+
+        def spy(n_top, xi):
+            stacks.append((n_top, xi.shape))
+            return poly_stack(n_top, xi)
+
+        monkeypatch.setattr(coupling2d, "_poly_stack", spy)
+        source, target = Waveguide2D(1.0, 1.3), Waveguide2D(2.0, 3.0, 1.0, (1.0, 0.5))
+        coupling2d._coupled_block(source, target, 1, 0, *tops)
+        order = quad_order_for(1, sum(tops))
+        assert sorted(stacks) == sorted([(max(tops), (order,)), (min(tops), (order, order))])
+
+    def test_corner_block_memory(self):
+        # the (t_big + 1) x order^2 stack alone, 210 x 127^2 doubles, was 27 MB
+        source, target = Waveguide2D(1.0, 1.0), Waveguide2D(2.5, 2.5, 5.0, (5.0, 5.0))
+        gauss_hermite(quad_order_for(4, 209 + 25))
+        tracemalloc.start()
+        try:
+            block = coupling2d._coupled_block(source, target, 2, 2, 209, 25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(block).all()
+        assert peak < 10e6
 
 
 class TestCoupledTensor:
