@@ -157,7 +157,7 @@ def _resolve(ns: argparse.Namespace) -> dict:
 
 def _coupled(params) -> bool:
     """Whether a request takes the coupled quadrature path; that path gets
-    the library's smaller default cap, since its cost grows with the square
+    the library's smaller default cap, since its cost grows with the cube
     of the rectangle edge, and the rest get 4096."""
     kind = params["kind"]
     return kind == "coupled2d" or (
