@@ -233,6 +233,13 @@ class TestOverlapCoupled:
         )
         assert abs(direct - sep) < 1e-10
 
+    def test_envelope_determinant_past_double_range(self):
+        # det Q = 1e310 overflows while every factor fits: the Jacobian is
+        # 2 / (sqrt(s) sqrt(c)); 2 / sqrt(s c) would read 0 here
+        w, wp = 1e-100, 1e155
+        got = overlap_coupled(Waveguide2D(w, w), Waveguide2D(wp, wp), 0, 0, 0, 0)
+        assert got == pytest.approx(2.0 * math.sqrt(w * wp) / (w + wp), rel=1e-13)
+
     def test_identical_isotropic_profiles_unit_overlap(self):
         src = Waveguide2D(1.3, 1.3)
         assert overlap_coupled(src, src, 0, 0, 0, 0) == pytest.approx(1.0, abs=1e-12)
@@ -328,7 +335,7 @@ class TestShearedBlock:
         assert sorted(stacks) == sorted([(max(tops), (order,)), (min(tops), (order, order))])
 
     def test_corner_block_memory(self):
-        # the (t_big + 1) x order^2 stack alone, 210 x 127^2 doubles, was 27 MB
+        # a (t_big + 1) x order^2 stack, 210 x 127^2 doubles, would alone take 27 MB
         source, target = Waveguide2D(1.0, 1.0), Waveguide2D(2.5, 2.5, 5.0, (5.0, 5.0))
         gauss_hermite(quad_order_for(4, 209 + 25))
         tracemalloc.start()

@@ -142,8 +142,8 @@ def test_scaled_pass_bits_pinned():
         assert rule.weights.tobytes() == w.tobytes(), order
 
 
-#: SHA-256 of nodes.tobytes() + weights.tobytes(), recorded before the
-#: Newton passes ran on the non-negative half of the nodes only.
+#: SHA-256 of nodes.tobytes() + weights.tobytes() per order: however the
+#: rule is built, no bit of a node or weight may move.
 RULE_DIGESTS = {
     1: "eb58aac9bfc37805894d3b6d4ed21ff4dc9a8096eabcd92b092a8827ad392d28",
     2: "a012d445753d08f02e1287f4480ec6db6471d23ce3c057f8670efa5af874d0d4",
