@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling1d import Transition1D, _first_extent, quad_order_for
-from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialTensorError
+from .errors import CapExceededError, NotPositiveDefiniteError, NumericOverflowError, PartialTensorError
 from .hermite import (
     MODE_INDEX_CAP,
     _RESCALE_BITS,
@@ -27,7 +27,7 @@ from .hermite import (
     check_mode_index,
     hermite_scaled,
 )
-from .quadrature import gauss_hermite
+from .quadrature import MAX_ORDER, gauss_hermite
 
 #: Default rectangle edge cap of the coupled (quadrature) path, kept well
 #: below MODE_INDEX_CAP since a block's cost rises with the cube of the edge.
@@ -110,7 +110,6 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
         The smaller form eigenvalue rounds to <= 0, as it can for a profile
         that passes the construction check within an ulp of the boundary.
     """
-    m = w.form_matrix
     if w.gamma == 0.0:
         return NormalModes(
             theta=0.0,
@@ -118,20 +117,14 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
             omega_minus=w.omega_y,
             axes=np.eye(2),
         )
-    a, cc, b = m[0, 0], m[1, 1], m[0, 1]
-    if a == cc:
-        theta = math.pi / 4.0
-    else:
-        theta = 0.5 * math.atan(2.0 * b / (a - cc))
-    e1 = np.array([math.cos(theta), math.sin(theta)])
-    e2 = np.array([-math.sin(theta), math.cos(theta)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam1 = float(e1 @ m @ e1)
-        lam2 = float(e2 @ m @ e2)
-    if lam1 >= lam2:
-        hi, lo = (lam1, e1), (lam2, e2)
-    else:
-        hi, lo = (lam2, e2), (lam1, e1)
+    a, cc, b = w.omega_x * w.omega_x, w.omega_y * w.omega_y, w.gamma / 2.0
+    theta = math.pi / 4.0 if a == cc else 0.5 * math.atan(2.0 * b / (a - cc))
+    cos, sin = math.cos(theta), math.sin(theta)
+    # Rayleigh quotients e^T M e of the axes e1 = (cos, sin), e2 = (-sin, cos)
+    lam1 = cos * (a * cos + b * sin) + sin * (b * cos + cc * sin)
+    lam2 = sin * (a * sin - b * cos) - cos * (b * sin - cc * cos)
+    e1, e2 = (cos, sin), (-sin, cos)
+    hi, lo = ((lam1, e1), (lam2, e2)) if lam1 >= lam2 else ((lam2, e2), (lam1, e1))
     if not (math.isfinite(lam1) and math.isfinite(lam2)):
         raise NumericOverflowError(f"the normal frequencies of {w} are not finite")
     if not lo[0] > 0.0:
@@ -139,12 +132,11 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
             f"{w} is not positive definite in double precision: its smaller "
             f"form eigenvalue is {lo[0]!r}"
         )
-    omega_plus, omega_minus = math.sqrt(hi[0]), math.sqrt(lo[0])
     return NormalModes(
         theta=theta,
-        omega_plus=omega_plus,
-        omega_minus=omega_minus,
-        axes=np.vstack([hi[1], lo[1]]),
+        omega_plus=math.sqrt(hi[0]),
+        omega_minus=math.sqrt(lo[0]),
+        axes=np.array([hi[1], lo[1]]),
     )
 
 
@@ -298,14 +290,23 @@ def _coupled_block(
     Tensor Gauss-Hermite on the combined Gaussian envelope Q, in target
     normal coordinates u = F (r - c_t) sheared so that the side j with the
     larger top (side 0 on ties) reads one node axis: u_j - ubar_j =
-    t_i / sqrt(s / 2), s the Schur complement of Q_oo in F Q F^T.  Side j's
-    Hermite stack is then (top_j + 1) x order; side o's, (top_o + 1) x
-    order^2, is summed with the weights over t_k before one product over
-    t_i.  Every factor is a 1D oscillator function via the scaled-Hermite
-    split, so the Gaussian bookkeeping stays exact.  Overflow is computed
-    silently: callers refuse the part they read if it is not finite
-    (``_refuse_nonfinite``), the one refusal.
+    t_i / sqrt(s / 2), s the Schur complement of Q_oo in F Q F^T.  The
+    integrand is then a polynomial of degree top_o + n_x + n_y in t_k, so
+    t_k takes a rule of its own degree, order_o nodes, and t_i the full
+    order.  Side j's Hermite stack is (top_j + 1) x order; side o's,
+    (top_o + 1) x order x order_o, is summed with the weights over t_k
+    before one product over t_i.  Every factor is a 1D oscillator function
+    via the scaled-Hermite split, so the Gaussian bookkeeping stays exact.
+    Overflow is computed silently: callers refuse the part they read if it
+    is not finite (``_refuse_nonfinite``), the one refusal.  An order past
+    ``MAX_ORDER`` raises CapExceededError before anything is built.
     """
+    order = quad_order_for(n_x + n_y, top1 + top2)
+    if order > MAX_ORDER:
+        raise CapExceededError(
+            f"the coupled block up to ({top1}, {top2}) needs a quadrature order of "
+            f"{order}, past {MAX_ORDER}; lower the cap (--cap)"
+        )
     nm_s, a_s = _mode_factors(source)
     nm_t, a_t = _mode_factors(target)
     c_s = np.asarray(source.center, dtype=float)
@@ -318,25 +319,25 @@ def _coupled_block(
     q_u = f @ q @ f.T
     u_bar = f @ (rbar - c_t)
 
+    tops, freqs = (top1, top2), nm_t.frequencies
     j, o = (0, 1) if top1 >= top2 else (1, 0)
     c = q_u[o, o]
     shear = q_u[j, o] / c
     s = q_u[j, j] - q_u[j, o] * shear
-    rule = gauss_hermite(quad_order_for(n_x + n_y, top1 + top2))
+    rule, inner = gauss_hermite(order), gauss_hermite(quad_order_for(n_x + n_y, tops[o]))
     v_j = rule.nodes / np.sqrt(s / 2.0)
     u_j = u_bar[j] + v_j
-    u_o = u_bar[o] + rule.nodes / np.sqrt(c / 2.0) - shear * v_j[:, None]
+    u_o = u_bar[o] + inner.nodes / np.sqrt(c / 2.0) - shear * v_j[:, None]
     g = nm_s.axes @ f.T
     d = nm_s.axes @ (c_t - c_s)
 
     def src_xi(m):
         return (d[m] + g[m, j] * u_j[:, None] + g[m, o] * u_o) * math.sqrt(nm_s.frequencies[m])
 
-    tops, freqs = (top1, top2), nm_t.frequencies
     pure = _poly_stack(tops[j], u_j * math.sqrt(freqs[j]))
     mixed = _poly_stack(tops[o], u_o * math.sqrt(freqs[o]))
     weight = (
-        rule.weights[:, None] * rule.weights
+        rule.weights[:, None] * inner.weights
         * hermite_scaled(n_x, src_xi(0)) * hermite_scaled(n_y, src_xi(1))
     )
     summed = np.einsum("aik,ik->ai", mixed, weight)
@@ -452,9 +453,12 @@ def coupled_tensor(
     other are a tie, which the first side wins.  The growth is replayed on
     leading sub-blocks of one block computed ahead to where the moments of
     the target indices say the mass ends (``_first_block``); a step past
-    that block rebuilds it 16 indices past the edge asked for.  The default
-    cap is deliberately modest: a block's Hermite stacks hold (t_small + 1)
-    order^2 + (t_big + 1) order doubles, a cube in the rectangle edge.
+    that block rebuilds it 16 indices past the edge asked for.  Each step
+    reads its mass and edge tails from the block's probability prefix sums
+    and checks its rectangle for non-finite entries only where the mass is
+    not finite.  The default cap is deliberately modest: a block's Hermite
+    stacks hold (t_small + 1) order order_o + (t_big + 1) order doubles,
+    order_o = (n_x + n_y + t_small + 1) // 2 + 8, a cube in the edge.
     """
     n_x = check_mode_index(n_x, "n_x")
     n_y = check_mode_index(n_y, "n_y")
@@ -463,20 +467,26 @@ def coupled_tensor(
     cap = check_mode_index(cap, "cap")
     step = 8
     ahead = _first_block(source, target, n_x, n_y, step, cap)
-    block = None
+    block = sums = None
 
     def evaluate(tops):
-        nonlocal ahead, block
+        nonlocal ahead, block, sums
         if block is None or tops[0] > ahead[0] or tops[1] > ahead[1]:
             ahead = [a if t <= a else min(t + 2 * step, cap) for t, a in zip(tops, ahead)]
             block = _coupled_block(source, target, n_x, n_y, *ahead)
+            with np.errstate(over="ignore"):
+                prob = block * block
+            cols = prob.cumsum(0)
+            # at [k1, k2]: the probability of the rectangle up to it, of row
+            # k1 and of column k2 within that rectangle
+            sums = cols.cumsum(1), prob.cumsum(1), cols
         values = block[: tops[0] + 1, : tops[1] + 1]
-        _refuse_nonfinite(values)
-        prob = values * values
-        tails = (float(prob[-1, :].sum()), float(prob[:, -1].sum()))
+        mass, *tails = (float(a[tops[0], tops[1]]) for a in sums)
+        if not math.isfinite(mass):  # a non-finite entry makes its sums inf or NaN
+            _refuse_nonfinite(values)
         if tails[1] - tails[0] <= 1e-12 * tails[1]:
             tails = (tails[1], tails[1])
-        return values, float(prob.sum()), tails
+        return values, mass, tails
 
     return _grow_rectangle(
         evaluate, np.copy, step, cap, epsilon, (n_x, n_y),

@@ -10,6 +10,7 @@ import pytest
 import selfoc.coupling1d as coupling1d
 import selfoc.coupling2d as coupling2d
 from selfoc import (
+    CapExceededError,
     CouplingTensor,
     NotPositiveDefiniteError,
     NumericOverflowError,
@@ -123,6 +124,24 @@ class TestNormalModes:
                     continue
                 assert 0.0 < nm.omega_minus <= nm.omega_plus < math.inf
         assert refused_late > 0
+
+
+    def test_float_modes_match_eigvalsh(self):
+        # ratios wy / wx from 1e-3 to 1e3, |gamma| up to 0.999 of 2 wx wy
+        rng = np.random.default_rng(16)
+        for wx, log_ratio, g in zip(
+            np.exp(rng.uniform(-2.0, 2.0, size=400)),
+            rng.uniform(math.log(1e-3), math.log(1e3), size=400),
+            rng.uniform(-0.999, 0.999, size=400),
+        ):
+            wy = wx * math.exp(log_ratio)
+            w = Waveguide2D(wx, wy, 2.0 * g * wx * wy)
+            nm = normal_modes(w)
+            lo, hi = np.linalg.eigvalsh(w.form_matrix)
+            tol = 1e-14 * nm.omega_plus**2
+            assert abs(nm.omega_plus**2 - hi) <= tol
+            assert abs(nm.omega_minus**2 - lo) <= tol
+            np.testing.assert_allclose(nm.axes @ nm.axes.T, np.eye(2), rtol=0.0, atol=1e-15)
 
 
 def separable_pair(dx=3.0, dy=4.0, rx=2.0, ry=3.0):
@@ -311,13 +330,44 @@ def seeded_block_requests(count=36):
     return out
 
 
+def seeded_small_side_requests(count=21):
+    """Blocks whose smaller top is 0, 1 or 2, where the inner rule is
+    smallest, from sources with n_x + n_y = 0..6, on either side in turn."""
+    rng = np.random.default_rng(16)
+    out = []
+    for i in range(count):
+        rx, ry = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=2))
+        gamma_t = 2.0 * rng.uniform(-0.95, 0.95) * rx * ry
+        target = Waveguide2D(rx, ry, gamma_t, tuple(rng.uniform(-2.0, 2.0, size=2)))
+        sy = rng.uniform(0.5, 2.0)
+        gamma_s = 2.0 * rng.uniform(-0.6, 0.6) * sy if i % 2 else 0.0
+        source = Waveguide2D(1.0, sy, gamma_s, tuple(rng.uniform(-1.0, 1.0, size=2)))
+        n_x = int(rng.integers(0, i % 7 + 1))
+        small, big = i % 3, int(rng.integers(3, 40))
+        out.append((source, target, n_x, i % 7 - n_x, *[(big, small), (small, big)][i % 2]))
+    return out
+
+
 class TestShearedBlock:
-    @pytest.mark.parametrize("request_", seeded_block_requests())
+    @pytest.mark.parametrize("request_", seeded_block_requests() + seeded_small_side_requests())
     def test_matches_eigenframe_block(self, request_):
         got = coupling2d._coupled_block(*request_)
         want = _eigenframe_block(*request_)
         assert got.shape == want.shape == (request_[4] + 1, request_[5] + 1)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_order_past_max_refused_before_building(self):
+        # ratios 2, 3, gamma' 1.5, D 3000, 3000: _first_block's (4096, 2384)
+        # needs order 3248
+        source, target = Waveguide2D(1.0, 1.0), Waveguide2D(2.0, 3.0, 1.5, (38.7, 31.6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match=r"up to \(4096, 2384\) .* order of 3248"):
+                coupling2d._coupled_block(source, target, 0, 0, 4096, 2384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @pytest.mark.parametrize("tops", [(30, 7), (7, 7), (7, 30)])
     def test_larger_side_stack_is_1d(self, monkeypatch, tops):
@@ -331,8 +381,8 @@ class TestShearedBlock:
         monkeypatch.setattr(coupling2d, "_poly_stack", spy)
         source, target = Waveguide2D(1.0, 1.3), Waveguide2D(2.0, 3.0, 1.0, (1.0, 0.5))
         coupling2d._coupled_block(source, target, 1, 0, *tops)
-        order = quad_order_for(1, sum(tops))
-        assert sorted(stacks) == sorted([(max(tops), (order,)), (min(tops), (order, order))])
+        order, inner = quad_order_for(1, sum(tops)), quad_order_for(1, min(tops))
+        assert sorted(stacks) == sorted([(max(tops), (order,)), (min(tops), (order, inner))])
 
     def test_corner_block_memory(self):
         # a (t_big + 1) x order^2 stack, 210 x 127^2 doubles, would alone take 27 MB
@@ -645,6 +695,35 @@ class TestCoupledReplay:
         monkeypatch.setattr(coupling2d, "_coupled_block", block)
         w = Waveguide2D(1.0, 1.0)
         with pytest.raises(NumericOverflowError, match=r"up to \(8, 8\) is not finite"):
+            coupled_tensor(w, w, 0, 0, 1e-8, 16)
+
+    def test_non_finite_entry_computed_ahead_answered(self, monkeypatch):
+        # the near-tie stub, with an inf at (30, 0) of the block built ahead to
+        # row 40: the growth stops at (24, 16) and never reads it
+        def block(source, target, n_x, n_y, top1, top2):
+            k1, k2 = np.ogrid[: top1 + 1, : top2 + 1]
+            values = 0.5 * math.sqrt(0.5) ** (k1 + k2) * (1.0 + 1e-14 * k2)
+            if top1 >= 30:
+                values[30, 0] = math.inf
+            return values
+
+        monkeypatch.setattr(coupling2d, "_coupled_block", block)
+        w = Waveguide2D(1.0, 1.0)
+        tensor = coupled_tensor(w, w, 0, 0, epsilon=1e-5)
+        assert tensor.values.shape == (25, 17)
+        assert np.isfinite(tensor.values).all()
+
+    def test_non_finite_entry_refused_at_the_step_reading_it(self, monkeypatch):
+        # finite through the first rectangle (8, 8); the second, (16, 8),
+        # holds the inf at (16, 0)
+        def block(source, target, n_x, n_y, top1, top2):
+            values = np.full((top1 + 1, top2 + 1), 0.01)
+            values[16, 0] = math.inf
+            return values
+
+        monkeypatch.setattr(coupling2d, "_coupled_block", block)
+        w = Waveguide2D(1.0, 1.0)
+        with pytest.raises(NumericOverflowError, match=r"up to \(16, 8\) is not finite"):
             coupled_tensor(w, w, 0, 0, 1e-8, 16)
 
     def test_symmetric_tie_goes_to_the_first_side(self):
