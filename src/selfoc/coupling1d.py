@@ -30,7 +30,7 @@ from .hermite import (
     check_mode_index,
     hermite_scaled,
 )
-from .quadrature import gauss_hermite, integrate
+from .quadrature import MAX_ORDER, gauss_hermite, integrate
 
 #: Largest first fill of :func:`spectrum1d`, in table entries (n + 1 rows
 #: times columns): 1 MiB of double-double values.
@@ -121,10 +121,24 @@ def overlap_closed(t: Transition1D, n_prime: int) -> float:
 
 
 def quad_order_for(n: int, n_prime: int) -> int:
-    """Oracle node count: the integrand is a degree-(n+n') polynomial
-    times a standard Gaussian after the change of variables, so
-    ceil((n+n')/2) nodes are exact; +8 is margin for the substitution."""
-    return (n + n_prime + 1) // 2 + 8
+    """Gauss-Hermite node count for a polynomial of degree n + n' times
+    exp(-t^2), the oracle's integrand after the change of variables and
+    each node axis of the coupled block: N nodes integrate every degree up
+    to 2N - 1 exactly (Golub & Welsch 1969), so (n + n') // 2 + 1 nodes
+    are exact and one fewer is not."""
+    return (n + n_prime) // 2 + 1
+
+
+def _exact_rule(n: int, n_prime: int, what: str, advice: str = ""):
+    """The rule of ``quad_order_for(n, n_prime)`` nodes for ``what``; an
+    order past ``MAX_ORDER`` is refused with CapExceededError, naming
+    ``what`` and the order, before any rule is built."""
+    order = quad_order_for(n, n_prime)
+    if order > MAX_ORDER:
+        raise CapExceededError(
+            f"{what} needs a quadrature order of {order}, past {MAX_ORDER}{advice}"
+        )
+    return gauss_hermite(order)
 
 
 def overlap_quad(t: Transition1D, n_prime: int) -> float:
@@ -133,9 +147,11 @@ def overlap_quad(t: Transition1D, n_prime: int) -> float:
     Completes the square of the product Gaussian (center
     ``d l^2/(l^2+l'^2)`` past the source center, sigma
     ``l l'/sqrt(l^2+l'^2)``) and integrates the remaining polynomial
-    against the rule's own Gaussian weight.
+    against the rule's own Gaussian weight.  A pair whose exact rule would
+    pass ``MAX_ORDER`` nodes is refused with CapExceededError.
     """
     n_prime = check_mode_index(n_prime, "n_prime")
+    rule = _exact_rule(t.n, n_prime, f"the quadrature overlap <{t.n}|{n_prime}>")
     l = t.source.omega ** -0.5
     lp = t.target.omega ** -0.5
     big_l = l * l + lp * lp
@@ -147,7 +163,6 @@ def overlap_quad(t: Transition1D, n_prime: int) -> float:
         * (l * lp) ** -0.5
         * math.exp(-d * d / (2.0 * big_l))
     )
-    rule = gauss_hermite(quad_order_for(t.n, n_prime))
 
     def poly_part(x):
         xi_s = (x - t.source.center) / l

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling1d import Transition1D, _first_extent, quad_order_for
-from .errors import CapExceededError, NotPositiveDefiniteError, NumericOverflowError, PartialTensorError
+from .coupling1d import Transition1D, _exact_rule, _first_extent, quad_order_for
+from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialTensorError
 from .hermite import (
     MODE_INDEX_CAP,
     _RESCALE_BITS,
@@ -27,7 +27,7 @@ from .hermite import (
     check_mode_index,
     hermite_scaled,
 )
-from .quadrature import MAX_ORDER, gauss_hermite
+from .quadrature import gauss_hermite
 
 #: Default rectangle edge cap of the coupled (quadrature) path, kept well
 #: below MODE_INDEX_CAP since a block's cost rises with the cube of the edge.
@@ -258,21 +258,38 @@ def spectrum2d_separable(
     )
 
 
-def _mode_factors(w: Waveguide2D):
-    """The profile's :class:`NormalModes` and its Gaussian envelope
-    matrix A = sum_j Omega_j e_j e_j^T."""
-    nm = normal_modes(w)
-    axes = nm.axes
-    freqs = nm.frequencies
-    a = freqs[0] * np.outer(axes[0], axes[0]) + freqs[1] * np.outer(axes[1], axes[1])
-    return nm, a
+def _envelope(nm: NormalModes) -> tuple:
+    """(A_00, A_01, A_11) of a profile's Gaussian envelope matrix
+    A = sum_m Omega_m e_m e_m^T, on Python floats."""
+    ((x1, y1), (x2, y2)), (w1, w2) = nm.axes.tolist(), nm.frequencies
+    return (
+        w1 * (x1 * x1) + w2 * (x2 * x2),
+        w1 * (x1 * y1) + w2 * (x2 * y2),
+        w1 * (y1 * y1) + w2 * (y2 * y2),
+    )
+
+
+def _solve2(a00, a01, a11, b0, b1) -> tuple:
+    """x with A x = b for a symmetric 2 x 2 matrix A with A_00 > 0, by
+    elimination with partial pivoting: no determinant is formed, so det A
+    may leave double range.  A Schur complement rounded to 0 gives NaN."""
+    p0, p1, b_p, r0, r1, b_r = a00, a01, b0, a01, a11, b1  # pivot row, other row
+    if abs(a01) > abs(a00):
+        p0, p1, b_p, r0, r1, b_r = r0, r1, b_r, p0, p1, b_p
+    l = r0 / p0
+    u = r1 - l * p1
+    x1 = (b_r - l * b_p) / u if u else math.nan
+    return (b_p - p1 * x1) / p0, x1
 
 
 def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
-    """hermite_scaled(k, xi) for k = 0..n_top, stacked on axis 0."""
+    """hermite_scaled(k, xi) for k = 0..n_top, stacked on axis 0: the
+    levels are computed in place in the stack, and a rescaled level's
+    scale is undone in place once the ladder is done."""
     out = np.empty((n_top + 1,) + xi.shape)
-    for row, (level, e) in zip(out, _ladder(xi)):
-        row[...] = level if isinstance(e, int) else np.ldexp(level, _RESCALE_BITS * e)
+    scaled = [(level, e) for level, e in _ladder(xi, out=out) if not isinstance(e, int)]
+    for level, e in scaled:
+        np.ldexp(level, _RESCALE_BITS * e, out=level)
     return out
 
 
@@ -284,6 +301,7 @@ def _coupled_block(
     n_y: int,
     top1: int,
     top2: int,
+    modes=None,
 ) -> np.ndarray:
     """Amplitudes <(n_x, n_y) | (k1, k2)'> for k1 <= top1, k2 <= top2.
 
@@ -291,60 +309,79 @@ def _coupled_block(
     normal coordinates u = F (r - c_t) sheared so that the side j with the
     larger top (side 0 on ties) reads one node axis: u_j - ubar_j =
     t_i / sqrt(s / 2), s the Schur complement of Q_oo in F Q F^T.  The
-    integrand is then a polynomial of degree top_o + n_x + n_y in t_k, so
-    t_k takes a rule of its own degree, order_o nodes, and t_i the full
-    order.  Side j's Hermite stack is (top_j + 1) x order; side o's,
-    (top_o + 1) x order x order_o, is summed with the weights over t_k
-    before one product over t_i.  Every factor is a 1D oscillator function
-    via the scaled-Hermite split, so the Gaussian bookkeeping stays exact.
+    integrand is a polynomial of degree top_j + top_o + n_x + n_y in t_i
+    and top_o + n_x + n_y in t_k, so each axis takes the exact Gauss count
+    for its own degree, ``quad_order_for``: order and order_o nodes.  Side
+    j's Hermite stack is (top_j + 1) x order; side o's, (top_o + 1) x order
+    x order_o, is summed with the weights over t_k before one product over
+    t_i; a zero source index has no Hermite factor.  Every factor is a 1D
+    oscillator function via the scaled-Hermite split, so the Gaussian
+    bookkeeping stays exact.  The 2 x 2 set-up runs on Python floats from
+    ``modes``, the source's and target's :class:`NormalModes` (computed if
+    None): the combined Gaussian's centre seen from the source's, Q^-1 A_t
+    (c_t - c_s) with Q = A_s + A_t, by pivoted elimination (``_solve2``), so
+    that only the shift of the centres enters; then, in target coordinates,
+    Q_oo, the shear, s and the Gaussian's constant as sums of positive
+    terms, so that neither det Q nor the cancellation of an ill-conditioned
+    Q enters the Jacobian 2 / (sqrt(s) sqrt(Q_oo)) or the Gaussian.
     Overflow is computed silently: callers refuse the part they read if it
-    is not finite (``_refuse_nonfinite``), the one refusal.  An order past
-    ``MAX_ORDER`` raises CapExceededError before anything is built.
+    is not finite (``_refuse_nonfinite``), the one refusal; a set-up value
+    out of range (the frequencies' product, the Gaussian's constant) makes
+    the block NaN.  An order past ``MAX_ORDER`` raises CapExceededError
+    before anything is built.
     """
-    order = quad_order_for(n_x + n_y, top1 + top2)
-    if order > MAX_ORDER:
-        raise CapExceededError(
-            f"the coupled block up to ({top1}, {top2}) needs a quadrature order of "
-            f"{order}, past {MAX_ORDER}; lower the cap (--cap)"
-        )
-    nm_s, a_s = _mode_factors(source)
-    nm_t, a_t = _mode_factors(target)
-    c_s = np.asarray(source.center, dtype=float)
-    c_t = np.asarray(target.center, dtype=float)
-
-    q = a_s + a_t
-    rbar = np.linalg.solve(q, a_s @ c_s + a_t @ c_t)
-    c0 = 0.5 * (c_s @ a_s @ c_s + c_t @ a_t @ c_t - rbar @ q @ rbar)
-    f = nm_t.axes
-    q_u = f @ q @ f.T
-    u_bar = f @ (rbar - c_t)
-
-    tops, freqs = (top1, top2), nm_t.frequencies
-    j, o = (0, 1) if top1 >= top2 else (1, 0)
-    c = q_u[o, o]
-    shear = q_u[j, o] / c
-    s = q_u[j, j] - q_u[j, o] * shear
-    rule, inner = gauss_hermite(order), gauss_hermite(quad_order_for(n_x + n_y, tops[o]))
-    v_j = rule.nodes / np.sqrt(s / 2.0)
-    u_j = u_bar[j] + v_j
-    u_o = u_bar[o] + inner.nodes / np.sqrt(c / 2.0) - shear * v_j[:, None]
-    g = nm_s.axes @ f.T
-    d = nm_s.axes @ (c_t - c_s)
-
-    def src_xi(m):
-        return (d[m] + g[m, j] * u_j[:, None] + g[m, o] * u_o) * math.sqrt(nm_s.frequencies[m])
-
-    pure = _poly_stack(tops[j], u_j * math.sqrt(freqs[j]))
-    mixed = _poly_stack(tops[o], u_o * math.sqrt(freqs[o]))
-    weight = (
-        rule.weights[:, None] * inner.weights
-        * hermite_scaled(n_x, src_xi(0)) * hermite_scaled(n_y, src_xi(1))
+    rule = _exact_rule(
+        n_x + n_y, top1 + top2, f"the coupled block up to ({top1}, {top2})",
+        "; lower the cap (--cap)",
     )
-    summed = np.einsum("aik,ik->ai", mixed, weight)
+    nm_s, nm_t = modes or (normal_modes(source), normal_modes(target))
+    tops, n_src = (top1, top2), (n_x, n_y)
+    j, o = (0, 1) if top1 >= top2 else (1, 0)
+    # from the source centre, the target's is at (dx, dy) and the combined
+    # Gaussian's at rbar = Q^-1 A_t (dx, dy), so only the shift enters
+    (s00, s01, s11), (t00, t01, t11) = _envelope(nm_s), _envelope(nm_t)
+    dx, dy = (ct - cs for ct, cs in zip(target.center, source.center))
+    r0, r1 = _solve2(s00 + t00, s01 + t01, s11 + t11, t00 * dx + t01 * dy, t01 * dx + t11 * dy)
+    # in target coordinates u = F (r - c_t): the centre ubar, the source
+    # axes g_m = F e_m (G orthogonal), Q_oo = c, Q_jo = c shear and, by
+    # Lagrange's identity, the Schur complement s = Q_jj - Q_jo^2 / c =
+    # w_t,j + (w_t,o B_jj + w_s,0 w_s,1) / c with B = G^T diag(w_s) G: sums
+    # of positive terms, however ill-conditioned Q is
+    f, e_s = nm_t.axes.tolist(), nm_s.axes.tolist()
+    w_s, w_t = nm_s.frequencies, nm_t.frequencies
+    ubar_j, ubar_o = (x * (r0 - dx) + y * (r1 - dy) for x, y in (f[j], f[o]))
+    g = [(x * f[j][0] + y * f[j][1], x * f[o][0] + y * f[o][1]) for x, y in e_s]
+    c = w_s[0] * g[0][1] * g[0][1] + w_s[1] * g[1][1] * g[1][1] + w_t[o]
+    shear = (w_s[0] * g[0][0] * g[0][1] + w_s[1] * g[1][0] * g[1][1]) / c
+    b_jj = w_s[0] * g[0][0] * g[0][0] + w_s[1] * g[1][0] * g[1][0]
+    s = w_t[j] + w_t[o] * (b_jj / c) + w_s[0] * (w_s[1] / c)
+    # the Gaussian's constant, with delta = c_s - c_t along the source axes
+    # (p) and the target axes: delta^T B Q^-1 D delta / 2 = (det D delta^T B
+    # delta + det B delta^T D delta) / (2 det Q), det Q = s c, D = diag(w_t)
+    p = [-x * dx - y * dy for x, y in e_s + f]
+    c0 = 0.5 * (
+        (w_s[0] * p[0] * p[0] + w_s[1] * p[1] * p[1]) * (w_t[j] / s) * (w_t[o] / c)
+        + (w_t[0] * p[2] * p[2] + w_t[1] * p[3] * p[3]) * (w_s[0] / s) * (w_s[1] / c)
+    )
+    # the frequencies' product and c0 must fit in double range, det Q need
+    # not: where they do not the block reads NaN
+    prod = math.prod(w_s + w_t)
+    norm = prod ** 0.25 / math.pi if 0.0 < prod < math.inf else math.nan
+    jac = 2.0 / (math.sqrt(s) * math.sqrt(c))
+    scale = norm * jac * (math.exp(-c0) if c0 < math.inf else math.nan)
 
-    norm = math.prod(nm_s.frequencies + nm_t.frequencies) ** 0.25 / math.pi
-    jac = 2.0 / (np.sqrt(s) * np.sqrt(c))
-    return norm * jac * math.exp(-c0) * (pure @ summed.T if j == 0 else summed @ pure.T)
+    inner = gauss_hermite(quad_order_for(n_x + n_y, tops[o]))
+    v_j = rule.nodes / math.sqrt(s / 2.0)
+    u_j = ubar_j + v_j
+    u_o = ubar_o + inner.nodes / math.sqrt(c / 2.0) - shear * v_j[:, None]
+    pure = _poly_stack(tops[j], u_j * math.sqrt(w_t[j]))
+    mixed = _poly_stack(tops[o], u_o * math.sqrt(w_t[o]))
+    weight = rule.weights[:, None] * inner.weights
+    for (g_j, g_o), p_m, w, n in zip(g, p, w_s, n_src):
+        if n:  # source axis e: e.(r - c_s) = (F e).u - e.(c_s - c_t)
+            weight *= hermite_scaled(n, (g_j * u_j[:, None] + g_o * u_o - p_m) * math.sqrt(w))
+    summed = np.einsum("aik,ik->ai", mixed, weight)
+    return scale * (pure @ summed.T if j == 0 else summed @ pure.T)
 
 
 def _refuse_nonfinite(block: np.ndarray):
@@ -379,7 +416,7 @@ def overlap_coupled(
 
 
 def _target_mode_moments(
-    source: Waveguide2D, target: Waveguide2D, n_x: int, n_y: int
+    source: Waveguide2D, target: Waveguide2D, n_x: int, n_y: int, modes=None
 ) -> list:
     """(mean, variance) of each target normal-mode index (plus, minus) for
     the source Fock state (n_x, n_y) on its normal modes, exact; the 2D
@@ -392,9 +429,10 @@ def _target_mode_moments(
     A, B = r_k r_l (Omega / (s_k s_l) +- s_k s_l / Omega) / 2 and L_k =
     Omega mu r_k / (sqrt(2) s_k).  Each off-diagonal term moves the state to
     its own neighbour, so Var N is the sum of their squared norms.  Python
-    floats: values out of double range come back inf or NaN.
+    floats: values out of double range come back inf or NaN.  ``modes`` are
+    the two profiles' :class:`NormalModes`, computed if None.
     """
-    nm_s, nm_t = normal_modes(source), normal_modes(target)
+    nm_s, nm_t = modes or (normal_modes(source), normal_modes(target))
     s = [math.sqrt(w) for w in nm_s.frequencies]
     shift = [cs - ct for cs, ct in zip(source.center, target.center)]
     n1, n2 = n_x, n_y
@@ -425,14 +463,14 @@ def _target_mode_moments(
     return out
 
 
-def _first_block(source, target, n_x, n_y, step, cap) -> list:
+def _first_block(source, target, n_x, n_y, step, cap, modes=None) -> list:
     """Block extents for :func:`coupled_tensor` to compute ahead: mean + 4
     sigma + 12 of each target index, rounded up to ``step`` and held to
     ``cap``; ``min(step, cap)``, the growth's start, where the moments leave
     double range.  The skewed index distributions reach their 1e-6 tails
     about 6 sigma out: a margin of 8 rebuilt a third of the blocks."""
     tops = []
-    for mean, var in _target_mode_moments(source, target, n_x, n_y):
+    for mean, var in _target_mode_moments(source, target, n_x, n_y, modes):
         edge = mean + 4.0 * math.sqrt(var) + 12.0
         tops.append(min(step * math.ceil(edge / step), cap) if math.isfinite(edge) else min(step, cap))
     return tops
@@ -456,9 +494,12 @@ def coupled_tensor(
     that block rebuilds it 16 indices past the edge asked for.  Each step
     reads its mass and edge tails from the block's probability prefix sums
     and checks its rectangle for non-finite entries only where the mass is
-    not finite.  The default cap is deliberately modest: a block's Hermite
-    stacks hold (t_small + 1) order order_o + (t_big + 1) order doubles,
-    order_o = (n_x + n_y + t_small + 1) // 2 + 8, a cube in the edge.
+    not finite.  The profiles' normal modes are computed once and shared by
+    the moments and every block.  The default cap is deliberately modest: a
+    block's Hermite stacks hold (t_small + 1) order order_o + (t_big + 1)
+    order doubles, with the exact Gauss counts order = (n_x + n_y + t1 +
+    t2) // 2 + 1 and order_o = (n_x + n_y + t_small) // 2 + 1, a cube in
+    the edge.
     """
     n_x = check_mode_index(n_x, "n_x")
     n_y = check_mode_index(n_y, "n_y")
@@ -466,14 +507,15 @@ def coupled_tensor(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     cap = check_mode_index(cap, "cap")
     step = 8
-    ahead = _first_block(source, target, n_x, n_y, step, cap)
+    modes = normal_modes(source), normal_modes(target)
+    ahead = _first_block(source, target, n_x, n_y, step, cap, modes)
     block = sums = None
 
     def evaluate(tops):
         nonlocal ahead, block, sums
         if block is None or tops[0] > ahead[0] or tops[1] > ahead[1]:
             ahead = [a if t <= a else min(t + 2 * step, cap) for t, a in zip(tops, ahead)]
-            block = _coupled_block(source, target, n_x, n_y, *ahead)
+            block = _coupled_block(source, target, n_x, n_y, *ahead, modes)
             with np.errstate(over="ignore"):
                 prob = block * block
             cols = prob.cumsum(0)

@@ -75,28 +75,33 @@ def hermite_phys(n: int, xi):
     return h_cur if h_cur.ndim else float(h_cur)
 
 
-def _ladder(xi, phi0=None, e=0):
+def _ladder(xi, phi0=None, e=0, out=None):
     """Yield (phi_k, e) of phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1))
     phi_{k-1} from phi_0 = phi0 (ones if None), phi_{-1} = 0; the true level
-    is ldexp(phi_k, 512 e).  Each level is a fresh array computed in place
-    with the formula's IEEE operations, phi_{k-1} scaled before it is
-    allocated.  A level passing 1e150 is scaled with the one below by 2**-512
-    there and e goes up by 1 (e is rebound only then): exact, so finite levels
-    keep their bits.  No level passes 1.0865 max|phi0| exp(max xi^2/2)
-    (Cramer, A&S 22.14.17)."""
-    if phi0 is None:
-        phi0, peak = np.ones_like(xi), 1.0
-    else:
-        peak = np.abs(phi0).max(initial=1e-300)
+    is ldexp(phi_k, 512 e).  Each level is computed in place with the
+    formula's IEEE operations, in a fresh array, or in row k of ``out``
+    (levels on axis 0), where the ladder ends at the last row, no level is
+    allocated and the products sqrt(2/(k+1)) xi are formed in one call.  A
+    level passing 1e150 is scaled with the one below by 2**-512 there and e
+    goes up by 1 (e is rebound only then; the level below is scaled in a
+    copy, so a yielded level never changes): exact, so finite levels keep
+    their bits.  No level passes 1.0865 max|phi0| exp(max xi^2/2) (Cramer,
+    A&S 22.14.17)."""
+    peak = 1.0 if phi0 is None else np.abs(phi0).max(initial=1e-300)
+    if out is not None:
+        out[0] = 1.0 if phi0 is None else phi0
+        phi0 = out[0]
+        np.multiply.outer(np.sqrt(2.0 / np.arange(1.0, len(out))), xi, out=out[1:])
+    elif phi0 is None:
+        phi0 = np.ones_like(xi)
     yield phi0, e
-    prev, cur = 0.0, phi0
+    prev, cur, scaled_prev = 0.0, phi0, np.empty_like(xi)
     top = float(np.abs(xi).max(initial=0.0))
     rescale = not 0.5 * top * top + math.log(peak) <= math.log(_RESCALE_AT / 1.0865)
-    for k in count():
-        prev = math.sqrt(k / (k + 1)) * prev
-        nxt = math.sqrt(2.0 / (k + 1)) * xi
+    for k in count() if out is None else range(len(out) - 1):
+        nxt = math.sqrt(2.0 / (k + 1)) * xi if out is None else out[k + 1]
         nxt *= cur
-        nxt -= prev
+        nxt -= np.multiply(prev, math.sqrt(k / (k + 1)), out=scaled_prev)
         if rescale and (big := np.abs(nxt) > _RESCALE_AT).any():
             factor = np.where(big, 2.0 ** -_RESCALE_BITS, 1.0)
             nxt *= factor

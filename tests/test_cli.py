@@ -139,14 +139,14 @@ class TestExitCodes:
         assert "entropy: undefined" in err
 
     def test_order_past_max_is_2_and_names_the_cap(self, capsys):
-        # the first coupled block, (4096, 2384), would need order 3248
+        # the first coupled block, (4096, 2384), would need order 3241
         code, out, err = invoke(
             capsys, "coupled2d", "--ratio-x", "2", "--ratio-y", "3", "--gamma-prime", "1.5",
             "--D-x", "3000", "--D-y", "3000", "--cap", "4096",
         )
         assert code == 2
         assert out == ""
-        assert "(4096, 2384)" in err and "order of 3248" in err and "--cap" in err
+        assert "(4096, 2384)" in err and "order of 3241" in err and "--cap" in err
         assert "Traceback" not in err
 
     def test_numeric_failure_is_4(self, capsys):

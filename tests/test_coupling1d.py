@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import selfoc.coupling1d as coupling1d
 from selfoc import (
     MODE_INDEX_CAP,
     CapExceededError,
@@ -17,8 +18,9 @@ from selfoc import (
     overlap_quad,
     spectrum1d,
 )
-from selfoc.coupling1d import _FIRST_FILL_ENTRIES, _first_extent, _n_prime_moments
+from selfoc.coupling1d import _FIRST_FILL_ENTRIES, _first_extent, _n_prime_moments, quad_order_for
 from selfoc.hermite import _TableBuilder, build_kernel
+from selfoc.quadrature import gauss_hermite
 
 
 def transition(w, wp, d, n):
@@ -68,6 +70,29 @@ class TestDualPath:
         with pytest.raises(NumericOverflowError) as info:
             overlap_quad(t, 542)
         assert info.value.index == (40, 542)
+
+    def test_quad_order_past_max_refused_before_building(self, monkeypatch):
+        def no_rule(order):
+            raise AssertionError(f"a rule of order {order} was built")
+
+        monkeypatch.setattr(coupling1d, "gauss_hermite", no_rule)
+        t = Transition1D(OscillatorFrame(1.0), OscillatorFrame(3.0, 1.0), 2100)
+        with pytest.raises(CapExceededError, match=r"<2100\|2100> .* order of 2101, past 2048"):
+            overlap_quad(t, 2100)
+
+    @pytest.mark.parametrize("n,n_prime", [(1, 1), (1, 2), (2, 5), (7, 4), (20, 31), (30, 30)])
+    def test_quad_order_is_the_least_exact_count(self, n, n_prime):
+        # (t + 1/2)^(n + n') against exp(-t^2): exact with quad_order_for(n,
+        # n') nodes, not with one fewer, at either parity of the degree
+        degree, order = n + n_prime, quad_order_for(n, n_prime)
+        exact = sum(
+            math.comb(degree, k) * 0.5 ** (degree - k) * math.gamma((k + 1) / 2)
+            for k in range(0, degree + 1, 2)
+        )
+        for nodes, is_exact in ((order, True), (order - 1, False)):
+            rule = gauss_hermite(nodes)
+            got = float(rule.weights @ (rule.nodes + 0.5) ** degree)
+            assert (abs(got - exact) <= 1e-12 * exact) is is_exact, nodes
 
     def test_quad_normalization_identity(self):
         assert overlap_quad(transition(1.0, 1.0, 0.0, 4), 4) == pytest.approx(1.0, abs=1e-12)

@@ -275,13 +275,87 @@ class TestOverlapCoupled:
         with pytest.raises(NumericOverflowError, match="block .* not finite"):
             coupled_tensor(source, target, 0, 0, 1e-8, 16)
 
+    def test_underflowing_frequency_product_refused(self):
+        # the product of the four frequencies, 1e-400, reads 0: the block
+        # used to come back all zeros, finite and wrong (this overlap is 1)
+        profile = Waveguide2D(1e-100, 1e-100)
+        with pytest.raises(NumericOverflowError, match="block .* not finite"):
+            overlap_coupled(profile, profile, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("offset", [1e4, 1e8, 1e12])
+    def test_common_offset_leaves_the_block(self, offset):
+        # only the shift of the centres enters; placed by absolute centres
+        # the combined Gaussian's lost 7e-8 at an offset of 1e4
+        def block(at):
+            source = Waveguide2D(1.0, 1.3, 0.4, (at, at))
+            target = Waveguide2D(2.0, 3.0, 1.5, (at + 0.5, at + 0.25))
+            return coupling2d._coupled_block(source, target, 1, 1, 12, 8)
+
+        np.testing.assert_array_equal(block(offset), block(0.0))
+
+    @pytest.mark.parametrize("ratio", [1e8, 1e16, 1e100])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (3.0, -2.0)])
+    def test_ill_conditioned_envelope(self, ratio, center):
+        # a source stiff along x, the target rotated: Q is as ill-conditioned
+        # as the source, and <0,0|0,0> = (det A_s det A_t)^(1/4) 2 / sqrt(det Q)
+        # with det A_s = 1, A_t = sqrt(M_t) = (M_t + sqrt(det M_t)) / tau
+        det_m = 4.0 - 1.5**2 / 4.0
+        tau = math.sqrt(5.0 + 2.0 * math.sqrt(det_m))
+        det_q = (
+            1.0 + math.sqrt(det_m)
+            + (4.0 + math.sqrt(det_m)) / tau / ratio + ratio * (1.0 + math.sqrt(det_m)) / tau
+        )
+        source = Waveguide2D(ratio, 1.0 / ratio, 0.0, center)
+        got = overlap_coupled(source, Waveguide2D(2.0, 1.0, 1.5, center), 0, 0, 0, 0)
+        assert got == pytest.approx(det_m**0.125 * 2.0 / math.sqrt(det_q), rel=1e-13, abs=0.0)
+
+    def test_extreme_profiles_answer_or_refuse(self):
+        # frequencies 1e-150..1e150, centres up to 1e200, cross-coupling up to
+        # 0.999 of the limit: a finite answer or a typed refusal, never a
+        # ZeroDivisionError, OverflowError or numpy warning (errors here)
+        rng = np.random.default_rng(17)
+
+        def profile():
+            wx, wy = (float(10.0 ** u) for u in rng.uniform(-150.0, 150.0, size=2))
+            gamma = 2.0 * float(rng.uniform(-0.999, 0.999)) * wx * wy if rng.random() < 0.6 else 0.0
+            center = (
+                0.0 if rng.random() < 0.3 else float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 200.0))
+                for _ in range(2)
+            )
+            return Waveguide2D(wx, wy, gamma, tuple(center))
+
+        answered = 0
+        for _ in range(150):
+            source, target = profile(), profile()
+            n_x, n_y, k1, k2 = (int(k) for k in rng.integers(0, 4, size=4))
+            for call in (
+                lambda: overlap_coupled(source, target, n_x, n_y, k1, k2),
+                lambda: coupled_tensor(source, target, n_x, n_y, 1e-6, 16).values,
+            ):
+                try:
+                    assert np.isfinite(call()).all()
+                    answered += 1
+                except (NumericOverflowError, NotPositiveDefiniteError, PartialTensorError):
+                    pass
+        assert answered > 0
+
+
+def _mode_factors(w: Waveguide2D):
+    """The profile's NormalModes and its Gaussian envelope matrix
+    A = sum_j Omega_j e_j e_j^T."""
+    nm = normal_modes(w)
+    axes = nm.axes
+    freqs = nm.frequencies
+    a = freqs[0] * np.outer(axes[0], axes[0]) + freqs[1] * np.outer(axes[1], axes[1])
+    return nm, a
+
 
 def _eigenframe_block(source, target, n_x, n_y, top1, top2):
     """The coupled block integrated in the eigenframe of the combined
     envelope Q = A_s + A_t: both target Hermite stacks on the full
     order^2 node grid and one GEMM over it."""
-    nm_s, a_s = coupling2d._mode_factors(source)
-    nm_t, a_t = coupling2d._mode_factors(target)
+    nm_s, a_s = _mode_factors(source)
+    nm_t, a_t = _mode_factors(target)
     c_s = np.asarray(source.center, dtype=float)
     c_t = np.asarray(target.center, dtype=float)
     q = a_s + a_t
@@ -348,6 +422,42 @@ def seeded_small_side_requests(count=21):
     return out
 
 
+def _fresh_ladder_stack(n_top, xi):
+    """The coupled Hermite stack as filled before levels were computed in
+    place: each level of the ladder a fresh array (phi_{k-1} scaled before
+    it is allocated), copied into its row with its 2**512 scale undone."""
+    out = np.empty((n_top + 1,) + xi.shape)
+    out[0] = 1.0
+    prev, cur, e = 0.0, np.ones_like(xi), 0
+    top = float(np.abs(xi).max(initial=0.0))
+    rescale = not 0.5 * top * top <= math.log(1e150 / 1.0865)
+    for k in range(n_top):
+        prev = math.sqrt(k / (k + 1)) * prev
+        nxt = math.sqrt(2.0 / (k + 1)) * xi
+        nxt *= cur
+        nxt -= prev
+        if rescale and (big := np.abs(nxt) > 1e150).any():
+            factor = np.where(big, 2.0**-512, 1.0)
+            nxt *= factor
+            cur, e = cur * factor, e + big
+        prev, cur = cur, nxt
+        out[k + 1] = cur if isinstance(e, int) else np.ldexp(cur, 512 * e)
+    return out
+
+
+class TestPolyStack:
+    @pytest.mark.parametrize("shape", [(37,), (23, 9)])
+    def test_in_place_stack_keeps_the_ladder_bits(self, shape):
+        # |xi| past 26.3 turns the rescaling on; at 45 the levels pass 1e150
+        rng = np.random.default_rng(17)
+        for half_width in (1.0, 8.0, 30.0, 45.0):
+            xi = rng.uniform(-half_width, half_width, size=shape)
+            for n_top in (0, 1, 7, 64, 320):
+                want = _fresh_ladder_stack(n_top, xi)
+                assert coupling2d._poly_stack(n_top, xi).tobytes() == want.tobytes()
+        assert np.abs(want).max() > 1e150
+
+
 class TestShearedBlock:
     @pytest.mark.parametrize("request_", seeded_block_requests() + seeded_small_side_requests())
     def test_matches_eigenframe_block(self, request_):
@@ -358,11 +468,11 @@ class TestShearedBlock:
 
     def test_order_past_max_refused_before_building(self):
         # ratios 2, 3, gamma' 1.5, D 3000, 3000: _first_block's (4096, 2384)
-        # needs order 3248
+        # needs order 3241
         source, target = Waveguide2D(1.0, 1.0), Waveguide2D(2.0, 3.0, 1.5, (38.7, 31.6))
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceededError, match=r"up to \(4096, 2384\) .* order of 3248"):
+            with pytest.raises(CapExceededError, match=r"up to \(4096, 2384\) .* order of 3241"):
                 coupling2d._coupled_block(source, target, 0, 0, 4096, 2384)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -677,7 +787,7 @@ class TestCoupledReplay:
     def test_near_tie_goes_to_the_first_side(self, monkeypatch):
         # amplitudes 2^-(k1+k2+2)/2 (1 + 1e-14 k2): the second side's edge
         # tail is larger, by round-off, at every square rectangle
-        def block(source, target, n_x, n_y, top1, top2):
+        def block(source, target, n_x, n_y, top1, top2, modes=None):
             k1, k2 = np.ogrid[: top1 + 1, : top2 + 1]
             return 0.5 * math.sqrt(0.5) ** (k1 + k2) * (1.0 + 1e-14 * k2)
 
@@ -687,7 +797,7 @@ class TestCoupledReplay:
 
     def test_non_finite_replayed_entry_refused(self, monkeypatch):
         # a stubbed block, finite but for entry (8, 8) of the first rectangle
-        def block(source, target, n_x, n_y, top1, top2):
+        def block(source, target, n_x, n_y, top1, top2, modes=None):
             values = np.full((top1 + 1, top2 + 1), 0.01)
             values[8, 8] = math.inf
             return values
@@ -700,7 +810,7 @@ class TestCoupledReplay:
     def test_non_finite_entry_computed_ahead_answered(self, monkeypatch):
         # the near-tie stub, with an inf at (30, 0) of the block built ahead to
         # row 40: the growth stops at (24, 16) and never reads it
-        def block(source, target, n_x, n_y, top1, top2):
+        def block(source, target, n_x, n_y, top1, top2, modes=None):
             k1, k2 = np.ogrid[: top1 + 1, : top2 + 1]
             values = 0.5 * math.sqrt(0.5) ** (k1 + k2) * (1.0 + 1e-14 * k2)
             if top1 >= 30:
@@ -716,7 +826,7 @@ class TestCoupledReplay:
     def test_non_finite_entry_refused_at_the_step_reading_it(self, monkeypatch):
         # finite through the first rectangle (8, 8); the second, (16, 8),
         # holds the inf at (16, 0)
-        def block(source, target, n_x, n_y, top1, top2):
+        def block(source, target, n_x, n_y, top1, top2, modes=None):
             values = np.full((top1 + 1, top2 + 1), 0.01)
             values[16, 0] = math.inf
             return values
