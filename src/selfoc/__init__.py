@@ -45,9 +45,7 @@ from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
     OverlapKernel,
-    ScaledHermiteTable,
     build_kernel,
-    hermite_phys,
     hermite_scaled,
     oscillator_psi,
     scaled_hermite_table,
@@ -70,7 +68,6 @@ __all__ = [
     "PartialSpectrumError",
     "PartialTensorError",
     "QuadratureRule",
-    "ScaledHermiteTable",
     "SchmidtReport",
     "Spectrum",
     "Transition1D",
@@ -81,7 +78,6 @@ __all__ = [
     "fc_candidates",
     "fc_estimate",
     "gauss_hermite",
-    "hermite_phys",
     "hermite_scaled",
     "integrate",
     "normal_modes",

@@ -284,7 +284,7 @@ def coupling_matrix(
         )
     builder = _TableBuilder(build_kernel(source, target), n_max)
     builder.extend(n_prime_max)
-    values = builder.prefactor * builder.table()
+    values = builder.kernel.prefactor * builder.table()
     _refuse_overfull((values * values).sum(axis=1), "a coupling matrix row")
     gram = values @ values.T
     defect = float(np.abs(gram - np.eye(n_max + 1)).max())

@@ -56,6 +56,8 @@ class Waveguide2D:
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if len(self.center) != 2 or not all(math.isfinite(c) for c in self.center):
             raise ValueError(f"center must be a finite (x, y) pair, got {self.center}")
+        for name in ("omega_x", "omega_y", "gamma"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         wx, wy, g = self.omega_x, self.omega_y, self.gamma
         # g^2 >= 4 wx^2 wy^2 without squares, which underflow to 0 at tiny wx
@@ -526,6 +528,8 @@ def coupled_tensor(
         mass, *tails = (float(a[tops[0], tops[1]]) for a in sums)
         if not math.isfinite(mass):  # a non-finite entry makes its sums inf or NaN
             _refuse_nonfinite(values)
+        if mass > 1.0 + 1e-10:  # the mass reached 1 - epsilon: the last step
+            _refuse_overfull(mass, f"the coupled rectangle up to ({tops[0]}, {tops[1]})")
         if tails[1] - tails[0] <= 1e-12 * tails[1]:
             tails = (tails[1], tails[1])
         return values, mass, tails

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,24 +54,6 @@ class OscillatorFrame:
     def length(self) -> float:
         """Characteristic length l = omega**-0.5."""
         return self.omega ** -0.5
-
-
-def hermite_phys(n: int, xi):
-    """Physicists' Hermite polynomial H_n(xi) by the three-term recurrence.
-
-    Positive leading coefficient; accepts scalars or arrays.  Values grow
-    like sqrt(n!) so large n with large xi can overflow double range --
-    use :func:`hermite_scaled` when headroom matters.
-    """
-    n = check_mode_index(n)
-    xi = np.asarray(xi, dtype=float)
-    h_prev = np.ones_like(xi)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h_cur = 2.0 * xi
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, 2.0 * xi * h_cur - 2.0 * k * h_prev
-    return h_cur if h_cur.ndim else float(h_cur)
 
 
 def _ladder(xi, phi0=None, e=0, out=None):
@@ -149,12 +130,22 @@ def oscillator_psi(x, n: int, frame: OscillatorFrame):
     return _level(n, xi, phi0, e)
 
 
-class _KernelCoeffs(NamedTuple):
-    """Recurrence coefficients kept in double-double form.
+@dataclass(frozen=True, eq=False)
+class OverlapKernel:
+    """Recurrence coefficients and prefactor of one frame pair's overlap.
 
-    The table value is an ill-conditioned function of these numbers
-    (cancellation up to ~1e13), so they are derived from the raw inputs
-    at extended precision rather than re-read from the rounded fields.
+    With L = l^2 + l'^2 and d the displacement, ``r11 = -r22 = 2 (l^2 -
+    l'^2) / L`` and ``r12 = -4 l l' / L`` are the symmetric matrix R of the
+    two-index Hermite recurrences, and ``ry1 = 2 d l / L`` and ``ry2 = -2 d
+    l' / L`` the vector R y.  Each is a double-double ``(hi, lo)`` pair: the
+    table value is an ill-conditioned function of these numbers
+    (cancellation up to ~1e13), so they are derived from the raw inputs at
+    extended precision.  ``prefactor`` is the shared scalar
+    sqrt(2 l l' / L) * exp(-d^2 / (2 L)).
+
+    The overall sign of R y is fixed so that closed-form amplitudes match
+    the direct overlap integral (the quadrature path) including sign;
+    probabilities are insensitive to this choice.
     """
 
     r11: tuple
@@ -162,39 +153,13 @@ class _KernelCoeffs(NamedTuple):
     r22: tuple
     ry1: tuple
     ry2: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class OverlapKernel:
-    """Quadratic/linear data of the closed-form overlap for one frame pair.
-
-    ``r`` is the symmetric 2x2 matrix and ``y`` the 2-vector feeding the
-    two-index Hermite recurrences; ``prefactor`` is the shared scalar
-    sqrt(2 l l' / (l^2+l'^2)) * exp(-d^2 / (2 (l^2+l'^2))).
-
-    The overall sign of ``y`` is fixed so that closed-form amplitudes
-    match the direct overlap integral (the quadrature path) including
-    sign; probabilities are insensitive to this choice.
-    """
-
-    r: np.ndarray
-    y: np.ndarray
     prefactor: float
-    l: float
-    l_prime: float
-    coeffs: _KernelCoeffs = field(repr=False)
-
-    def __post_init__(self):
-        self.r.setflags(write=False)
-        self.y.setflags(write=False)
 
 
 def build_kernel(source: OscillatorFrame, target: OscillatorFrame) -> OverlapKernel:
     """Assemble the overlap kernel for a source -> target channel pair.
 
-    Displacement is ``d = target.center - source.center``.  All recurrence
-    coefficients are additionally carried in compensated form; see
-    :class:`_KernelCoeffs`.
+    Displacement is ``d = target.center - source.center``.
 
     Raises
     ------
@@ -211,50 +176,19 @@ def build_kernel(source: OscillatorFrame, target: OscillatorFrame) -> OverlapKer
 
     r11 = dd.div(dd.mul_float(dd.sub(l2, lp2), 2.0), big_l)
     r12 = dd.div(dd.mul_float(dd.mul(l_dd, lp_dd), -4.0), big_l)
-    r22 = dd.neg(r11)
-    # (R y) components in closed form: (2 d l / L, -2 d l' / L)
     ry1 = dd.div(dd.mul_float(dd.mul(d_dd, l_dd), 2.0), big_l)
     ry2 = dd.div(dd.mul_float(dd.mul(d_dd, lp_dd), -2.0), big_l)
-    y1 = dd.div(dd.mul(d_dd, l_dd), big_l)
-    y2 = dd.neg(dd.div(dd.mul(d_dd, lp_dd), big_l))
 
     pref = math.sqrt(
         dd.to_float(dd.div(dd.mul_float(dd.mul(l_dd, lp_dd), 2.0), big_l))
     ) * math.exp(-dd.to_float(dd.div(dd.mul(d_dd, d_dd), dd.mul_float(big_l, 2.0))))
 
-    r = np.array(
-        [[dd.to_float(r11), dd.to_float(r12)], [dd.to_float(r12), dd.to_float(r22)]]
-    )
-    y = np.array([dd.to_float(y1), dd.to_float(y2)])
-    l, l_prime = dd.to_float(l_dd), dd.to_float(lp_dd)
-    coeffs = _KernelCoeffs(r11, r12, r22, ry1, ry2)
-    if not np.isfinite([pref, l, l_prime, *r.flat, *y, *np.ravel(coeffs)]).all():
+    if not np.isfinite([pref, *r11, *r12, *ry1, *ry2]).all():
         raise NumericOverflowError(
             f"overlap kernel for omega {source.omega!r} -> {target.omega!r} "
             "is not finite"
         )
-    return OverlapKernel(r=r, y=y, prefactor=pref, l=l, l_prime=l_prime, coeffs=coeffs)
-
-
-@dataclass(frozen=True, eq=False)
-class ScaledHermiteTable:
-    """Table h[n, m] = H_{nm}(y) / sqrt(2**(n+m) n! m!) for one kernel.
-
-    ``prefactor * h[n, m]`` is the overlap amplitude <n|m>.
-    """
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        self.h.setflags(write=False)
-
-    @property
-    def n_max(self) -> int:
-        return self.h.shape[0] - 1
-
-    @property
-    def m_max(self) -> int:
-        return self.h.shape[1] - 1
+    return OverlapKernel(r11, r12, dd.neg(r11), ry1, ry2, pref)
 
 
 @functools.cache
@@ -274,7 +208,7 @@ def _index_factors():
 
 class _TableBuilder:
     """Incrementally grown scaled table of one kernel in compensated
-    arithmetic; carries the kernel's prefactor, so ``amplitude`` is the
+    arithmetic; holds the kernel, whose prefactor makes ``amplitude`` the
     top row as overlap amplitudes.
 
     High and low words live in two arrays ``hi`` and ``lo`` of n_rows + 1
@@ -291,8 +225,7 @@ class _TableBuilder:
     """
 
     def __init__(self, kernel: OverlapKernel, n_rows: int):
-        self.c = kernel.coeffs
-        self.prefactor = kernel.prefactor
+        self.kernel = kernel
         self.n_rows = n_rows
         self.m = -1  # highest filled column
         self.hi, self.lo = np.zeros((2, n_rows + 1, 1))
@@ -302,7 +235,7 @@ class _TableBuilder:
         if m_new <= self.m:
             return
         sq_hi, sq_lo, inv_hi, inv_lo = _index_factors()
-        c, lo_col = self.c, self.m + 1
+        c, lo_col = self.kernel, self.m + 1
         block = np.zeros((self.n_rows + 1, m_new - self.m))
         self.hi = hi = np.concatenate([self.hi, block], axis=1)
         self.lo = lo = np.concatenate([self.lo, block], axis=1)
@@ -344,8 +277,8 @@ class _TableBuilder:
         sub is skipped at m = 0).  (x0, x1) is a double-double and (xh, xl)
         the Dekker split of x0; q and c are h[m-1] and h[m]."""
         splitter = dd._SPLIT
-        a0, a1 = float(self.c.ry2[0]), float(self.c.ry2[1])
-        g0, g1 = float(self.c.r22[0]), float(self.c.r22[1])
+        a0, a1 = float(self.kernel.ry2[0]), float(self.kernel.ry2[1])
+        g0, g1 = float(self.kernel.r22[0]), float(self.kernel.r22[1])
         self.hi[0, 1] = 1.0  # h[0, 0]; later fills rewrite it unchanged
         m_old = max(self.m, 0)
         # h[m_old - 1] and h[m_old]; at m_old = 0 q is the zero column, never read
@@ -406,7 +339,7 @@ class _TableBuilder:
     @property
     def amplitude(self) -> np.ndarray:
         """Amplitudes <n_rows|m> for m = 0..self.m."""
-        return self.prefactor * self.row(self.n_rows)
+        return self.kernel.prefactor * self.row(self.n_rows)
 
     def table(self) -> np.ndarray:
         return self.hi[:, 1:] + self.lo[:, 1:]
@@ -421,11 +354,14 @@ def _refuse_overfull(mass, what: str):
         raise NumericOverflowError(f"{what} carries mass {mass[row]:.12g} > 1", index=row)
 
 
-def scaled_hermite_table(kernel: OverlapKernel, n_max: int, m_max: int) -> ScaledHermiteTable:
-    """Build the scaled two-index Hermite table up to (n_max, m_max): row 0
-    by the second-index recurrence, then each row from the two below it."""
+def scaled_hermite_table(kernel: OverlapKernel, n_max: int, m_max: int) -> np.ndarray:
+    """Read-only table h[n, m] = H_{nm}(y) / sqrt(2**(n+m) n! m!) up to
+    (n_max, m_max): row 0 by the second-index recurrence, then each row from
+    the two below it.  ``kernel.prefactor * h[n, m]`` is the amplitude <n|m>."""
     n_max = check_mode_index(n_max, "n_max")
     m_max = check_mode_index(m_max, "m_max")
     builder = _TableBuilder(kernel, n_max)
     builder.extend(m_max)
-    return ScaledHermiteTable(h=builder.table())
+    table = builder.table()
+    table.setflags(write=False)
+    return table

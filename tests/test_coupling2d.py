@@ -339,6 +339,36 @@ class TestOverlapCoupled:
                     pass
         assert answered > 0
 
+    def test_numpy_scalar_profiles_answer_as_floats(self):
+        # the same kind of extreme profiles given as np.float64 scalars: the
+        # profile holds floats, so each request answers or refuses exactly
+        # as with floats and lets no numpy warning out (errors here)
+        rng = np.random.default_rng(18)
+
+        def profile():
+            wx, wy = 10.0 ** rng.uniform(-150.0, 150.0, size=2)
+            gamma = 2.0 * rng.uniform(-0.999, 0.999) * wx * wy if rng.random() < 0.6 else np.float64(0.0)
+            center = tuple(
+                np.float64(0.0) if rng.random() < 0.3 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 200.0)
+                for _ in range(2)
+            )
+            return wx, wy, gamma, center
+
+        def outcome(source, target, n_x, n_y):
+            try:
+                tensor = coupled_tensor(Waveguide2D(*source), Waveguide2D(*target), n_x, n_y, 1e-6, 8)
+            except (NumericOverflowError, PartialTensorError) as err:
+                return type(err), str(err)
+            return tensor.values.tobytes(), tensor.captured_mass
+
+        for _ in range(40):
+            source, target = profile(), profile()
+            n_x, n_y = (int(k) for k in rng.integers(0, 4, size=2))
+            as_floats = [(float(wx), float(wy), float(g), tuple(map(float, c))) for wx, wy, g, c in (source, target)]
+            assert outcome(source, target, n_x, n_y) == outcome(*as_floats, n_x, n_y)
+        held = Waveguide2D(*source)
+        assert {type(v) for v in (held.omega_x, held.omega_y, held.gamma, *held.center)} == {float}
+
 
 def _mode_factors(w: Waveguide2D):
     """The profile's NormalModes and its Gaussian envelope matrix
@@ -526,6 +556,28 @@ class TestCoupledTensor:
             with pytest.raises(PartialTensorError) as info:
                 coupled_tensor(src, tgt, 0, 0, epsilon=epsilon, cap=cap)
             assert info.value.tensor.values.shape == (cap + 1, cap + 1)
+
+    @pytest.mark.parametrize(
+        "source,target,mass",
+        [
+            (
+                Waveguide2D(2.3367943218213827e-53, 6.688921981130077e-81, -3.081843125532545e-133, (0.0, 1.7094368264558726e20)),
+                Waveguide2D(3.621452179198231e48, 8.765109746050025e23, 3.747708964335484e72, (0.013426400866363855, 0.0)),
+                "1.25779464259",
+            ),
+            # every entry finite (up to 4.3e180), their squares not
+            (
+                Waveguide2D(1.977176640076857e-68, 1.0146941160470718e-139, -3.153370496403585e-207, (0.0, -1.113724751120093e58)),
+                Waveguide2D(2.1042351469444317e-33, 4.2192303273689624e-18, -1.6286257524001453e-50, (1.5991066637447194e34, 0.0)),
+                "inf",
+            ),
+        ],
+    )
+    def test_overfull_rectangle_refused(self, source, target, mass):
+        # no rectangle of true overlaps holds more than mass 1: these used to
+        # come back with captured_mass 1.2578 and inf
+        with pytest.raises(NumericOverflowError, match=rf"carries mass {mass} > 1"):
+            coupled_tensor(source, target, 0, 0, cap=16)
 
     def test_matches_separable_when_uncoupled(self):
         src, tgt = separable_pair(dx=1.0, dy=0.5)

@@ -12,7 +12,6 @@ from selfoc import (
     OscillatorFrame,
     build_kernel,
     gauss_hermite,
-    hermite_phys,
     hermite_scaled,
     integrate,
     oscillator_psi,
@@ -37,12 +36,18 @@ def hermite_by_sum(n, xi):
     return total
 
 
+def hermite_phys(n, xi):
+    """Physicists' H_n(xi) by the replacement README gives for the raw
+    recurrence: ``hermite_scaled(n, xi) * sqrt(2**n n!)``."""
+    return hermite_scaled(n, xi) * math.sqrt(2.0**n * math.factorial(n))
+
+
 class TestHermitePhys:
     def test_h0_is_one(self):
         assert hermite_phys(0, 1.7) == 1.0
 
     def test_h1(self):
-        assert hermite_phys(1, 0.5) == 1.0
+        assert hermite_phys(1, 0.5) == pytest.approx(1.0, rel=1e-15)
 
     def test_h3_at_one(self):
         # direct polynomial: 8 - 12
@@ -200,8 +205,8 @@ class TestOscillatorPsi:
 class TestBuildKernel:
     def test_identical_frames(self):
         k = build_kernel(OscillatorFrame(1.0), OscillatorFrame(1.0))
-        assert np.allclose(k.r, [[0.0, -2.0], [-2.0, 0.0]], atol=1e-15)
-        assert np.allclose(k.y, [0.0, 0.0])
+        coeffs = [dd.to_float(c) for c in (k.r11, k.r12, k.r22, k.ry1, k.ry2)]
+        assert np.allclose(coeffs, [0.0, -2.0, 0.0, 0.0, 0.0], atol=1e-15)
         assert k.prefactor == pytest.approx(1.0, abs=1e-15)
 
     def test_stretch_prefactor(self):
@@ -219,15 +224,12 @@ class TestBuildKernel:
         k = build_kernel(OscillatorFrame(w), OscillatorFrame(wp, d))
         l, lp = w**-0.5, wp**-0.5
         big = l * l + lp * lp
-        assert k.l == pytest.approx(l, rel=1e-15)
-        assert k.l_prime == pytest.approx(lp, rel=1e-15)
-        assert k.r[0, 0] == pytest.approx(2 * (l * l - lp * lp) / big, abs=1e-15)
-        assert k.r[1, 1] == pytest.approx(-k.r[0, 0], abs=1e-16)
-        assert k.r[0, 1] == pytest.approx(-4 * l * lp / big, rel=1e-15)
-        assert k.r[1, 0] == k.r[0, 1]
-        # oracle-fixed sign: y = (d l / L, -d l' / L)
-        assert k.y[0] == pytest.approx(d * l / big, rel=1e-14, abs=1e-300)
-        assert k.y[1] == pytest.approx(-d * lp / big, rel=1e-14, abs=1e-300)
+        assert dd.to_float(k.r11) == pytest.approx(2 * (l * l - lp * lp) / big, abs=1e-15)
+        assert k.r22 == dd.neg(k.r11)
+        assert dd.to_float(k.r12) == pytest.approx(-4 * l * lp / big, rel=1e-15)
+        # oracle-fixed sign: R y = (2 d l / L, -2 d l' / L)
+        assert dd.to_float(k.ry1) == pytest.approx(2 * d * l / big, rel=1e-14, abs=1e-300)
+        assert dd.to_float(k.ry2) == pytest.approx(-2 * d * lp / big, rel=1e-14, abs=1e-300)
         assert k.prefactor == pytest.approx(
             math.sqrt(2 * l * lp / big) * math.exp(-d * d / (2 * big)), rel=1e-13
         )
@@ -235,7 +237,7 @@ class TestBuildKernel:
     def test_displacement_is_target_minus_source(self):
         k1 = build_kernel(OscillatorFrame(1.0, 1.0), OscillatorFrame(1.0, 3.0))
         k2 = build_kernel(OscillatorFrame(1.0, 0.0), OscillatorFrame(1.0, 2.0))
-        assert np.allclose(k1.y, k2.y)
+        assert np.allclose([k1.ry1, k1.ry2], [k2.ry1, k2.ry2])
         assert k1.prefactor == pytest.approx(k2.prefactor)
 
 
@@ -244,12 +246,11 @@ def taylor_table(kernel, top):
     exp(a^T R y - a^T R a / 2), converted to scaled-table entries."""
     size = 2 * top + 1
     s = np.zeros((size, size))
-    ry = kernel.r @ kernel.y
-    s[1, 0] = ry[0]
-    s[0, 1] = ry[1]
-    s[2, 0] = -0.5 * kernel.r[0, 0]
-    s[0, 2] = -0.5 * kernel.r[1, 1]
-    s[1, 1] = -kernel.r[0, 1]
+    s[1, 0] = dd.to_float(kernel.ry1)
+    s[0, 1] = dd.to_float(kernel.ry2)
+    s[2, 0] = -0.5 * dd.to_float(kernel.r11)
+    s[0, 2] = -0.5 * dd.to_float(kernel.r22)
+    s[1, 1] = -dd.to_float(kernel.r12)
 
     def polymul(a, b):
         out = np.zeros((size, size))
@@ -278,20 +279,20 @@ def taylor_table(kernel, top):
 class TestScaledHermiteTable:
     def test_seed_entry(self):
         k = build_kernel(OscillatorFrame(1.0), OscillatorFrame(2.0, 0.7))
-        assert scaled_hermite_table(k, 0, 0).h[0, 0] == 1.0
+        assert scaled_hermite_table(k, 0, 0)[0, 0] == 1.0
 
     def test_one_step_by_hand(self):
         # h[1][0] = (R y)_1 / sqrt(2)
         k = build_kernel(OscillatorFrame(1.0), OscillatorFrame(1.0, 1.0))
-        ry1 = float((k.r @ k.y)[0])
+        ry1 = dd.to_float(k.ry1)
         table = scaled_hermite_table(k, 1, 0)
-        assert table.h[1, 0] == pytest.approx(ry1 / math.sqrt(2.0), rel=1e-14)
-        assert table.h[1, 0] == pytest.approx(0.7071067811865476, rel=1e-14)
+        assert table[1, 0] == pytest.approx(ry1 / math.sqrt(2.0), rel=1e-14)
+        assert table[1, 0] == pytest.approx(0.7071067811865476, rel=1e-14)
 
     def test_identical_frames_give_identity(self):
         k = build_kernel(OscillatorFrame(2.3), OscillatorFrame(2.3))
         table = scaled_hermite_table(k, 12, 12)
-        assert np.abs(k.prefactor * table.h - np.eye(13)).max() < 1e-12
+        assert np.abs(k.prefactor * table - np.eye(13)).max() < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_against_taylor_oracle(self, seed):
@@ -301,7 +302,7 @@ class TestScaledHermiteTable:
             OscillatorFrame(rng.uniform(0.5, 2.0), rng.uniform(-1.5, 1.5)),
         )
         expected = taylor_table(k, 4)
-        got = scaled_hermite_table(k, 4, 4).h
+        got = scaled_hermite_table(k, 4, 4)
         assert np.abs(got - expected).max() < 1e-12
 
     def test_overflow_reports_index(self):
@@ -319,7 +320,7 @@ class TestScaledHermiteTable:
         k = build_kernel(OscillatorFrame(1.0), OscillatorFrame(2.0))
         table = scaled_hermite_table(k, 3, 3)
         with pytest.raises(ValueError):
-            table.h[0, 0] = 5.0
+            table[0, 0] = 5.0
 
 
 class TestTableChunking:
@@ -371,7 +372,7 @@ class _ReferenceFill:
     of ``_TableBuilder``."""
 
     def __init__(self, kernel, n_rows):
-        self.c = kernel.coeffs
+        self.c = kernel
         self.n_rows = n_rows
         self.m = -1
         self.hi = [np.empty(0) for _ in range(n_rows + 1)]
