@@ -260,30 +260,6 @@ def spectrum2d_separable(
     )
 
 
-def _envelope(nm: NormalModes) -> tuple:
-    """(A_00, A_01, A_11) of a profile's Gaussian envelope matrix
-    A = sum_m Omega_m e_m e_m^T, on Python floats."""
-    ((x1, y1), (x2, y2)), (w1, w2) = nm.axes.tolist(), nm.frequencies
-    return (
-        w1 * (x1 * x1) + w2 * (x2 * x2),
-        w1 * (x1 * y1) + w2 * (x2 * y2),
-        w1 * (y1 * y1) + w2 * (y2 * y2),
-    )
-
-
-def _solve2(a00, a01, a11, b0, b1) -> tuple:
-    """x with A x = b for a symmetric 2 x 2 matrix A with A_00 > 0, by
-    elimination with partial pivoting: no determinant is formed, so det A
-    may leave double range.  A Schur complement rounded to 0 gives NaN."""
-    p0, p1, b_p, r0, r1, b_r = a00, a01, b0, a01, a11, b1  # pivot row, other row
-    if abs(a01) > abs(a00):
-        p0, p1, b_p, r0, r1, b_r = r0, r1, b_r, p0, p1, b_p
-    l = r0 / p0
-    u = r1 - l * p1
-    x1 = (b_r - l * b_p) / u if u else math.nan
-    return (b_p - p1 * x1) / p0, x1
-
-
 def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
     """hermite_scaled(k, xi) for k = 0..n_top, stacked on axis 0: the
     levels are computed in place in the stack, and a rescaled level's
@@ -320,12 +296,12 @@ def _coupled_block(
     oscillator function via the scaled-Hermite split, so the Gaussian
     bookkeeping stays exact.  The 2 x 2 set-up runs on Python floats from
     ``modes``, the source's and target's :class:`NormalModes` (computed if
-    None): the combined Gaussian's centre seen from the source's, Q^-1 A_t
-    (c_t - c_s) with Q = A_s + A_t, by pivoted elimination (``_solve2``), so
-    that only the shift of the centres enters; then, in target coordinates,
-    Q_oo, the shear, s and the Gaussian's constant as sums of positive
-    terms, so that neither det Q nor the cancellation of an ill-conditioned
-    Q enters the Jacobian 2 / (sqrt(s) sqrt(Q_oo)) or the Gaussian.
+    None), in target coordinates: Q_oo, the shear, s and the Gaussian's
+    constant as sums of positive terms, so that neither det Q nor the
+    cancellation of an ill-conditioned Q enters the Jacobian 2 / (sqrt(s)
+    sqrt(Q_oo)) or the Gaussian, and the combined Gaussian's centre from
+    the same LDL^T factors of F Q F^T, with no pivoting; only the shift of
+    the centres enters.
     Overflow is computed silently: callers refuse the part they read if it
     is not finite (``_refuse_nonfinite``), the one refusal; a set-up value
     out of range (the frequencies' product, the Gaussian's constant) makes
@@ -339,28 +315,28 @@ def _coupled_block(
     nm_s, nm_t = modes or (normal_modes(source), normal_modes(target))
     tops, n_src = (top1, top2), (n_x, n_y)
     j, o = (0, 1) if top1 >= top2 else (1, 0)
-    # from the source centre, the target's is at (dx, dy) and the combined
-    # Gaussian's at rbar = Q^-1 A_t (dx, dy), so only the shift enters
-    (s00, s01, s11), (t00, t01, t11) = _envelope(nm_s), _envelope(nm_t)
-    dx, dy = (ct - cs for ct, cs in zip(target.center, source.center))
-    r0, r1 = _solve2(s00 + t00, s01 + t01, s11 + t11, t00 * dx + t01 * dy, t01 * dx + t11 * dy)
-    # in target coordinates u = F (r - c_t): the centre ubar, the source
-    # axes g_m = F e_m (G orthogonal), Q_oo = c, Q_jo = c shear and, by
-    # Lagrange's identity, the Schur complement s = Q_jj - Q_jo^2 / c =
-    # w_t,j + (w_t,o B_jj + w_s,0 w_s,1) / c with B = G^T diag(w_s) G: sums
-    # of positive terms, however ill-conditioned Q is
+    # in target coordinates u = F (r - c_t): the source axes g_m = F e_m (G
+    # orthogonal), Q_oo = c, Q_jo = c shear and, by Lagrange's identity, the
+    # Schur complement s = Q_jj - Q_jo^2 / c = w_t,j + (w_t,o B_jj + w_s,0
+    # w_s,1) / c with B = G^T diag(w_s) G: sums of positive terms, however
+    # ill-conditioned Q is
     f, e_s = nm_t.axes.tolist(), nm_s.axes.tolist()
     w_s, w_t = nm_s.frequencies, nm_t.frequencies
-    ubar_j, ubar_o = (x * (r0 - dx) + y * (r1 - dy) for x, y in (f[j], f[o]))
     g = [(x * f[j][0] + y * f[j][1], x * f[o][0] + y * f[o][1]) for x, y in e_s]
     c = w_s[0] * g[0][1] * g[0][1] + w_s[1] * g[1][1] * g[1][1] + w_t[o]
     shear = (w_s[0] * g[0][0] * g[0][1] + w_s[1] * g[1][0] * g[1][1]) / c
     b_jj = w_s[0] * g[0][0] * g[0][0] + w_s[1] * g[1][0] * g[1][0]
     s = w_t[j] + w_t[o] * (b_jj / c) + w_s[0] * (w_s[1] / c)
-    # the Gaussian's constant, with delta = c_s - c_t along the source axes
-    # (p) and the target axes: delta^T B Q^-1 D delta / 2 = (det D delta^T B
-    # delta + det B delta^T D delta) / (2 det Q), det Q = s c, D = diag(w_t)
+    # delta = c_s - c_t along the source axes and the target axes (p); the
+    # combined Gaussian's centre is ubar = x - d' with d' = F (c_t - c_s) and
+    # Q x = D d', D = diag(w_t), solved with Q's LDL^T factors c, shear and s
+    # (side o first); its constant is delta^T B Q^-1 D delta / 2 = (det D
+    # delta^T B delta + det B delta^T D delta) / (2 det Q), det Q = s c
+    dx, dy = (ct - cs for ct, cs in zip(target.center, source.center))
     p = [-x * dx - y * dy for x, y in e_s + f]
+    d_j, d_o = -p[2 + j], -p[2 + o]
+    x_j = (w_t[j] * d_j - shear * (w_t[o] * d_o)) / s
+    ubar_j, ubar_o = x_j - d_j, w_t[o] * d_o / c - shear * x_j - d_o
     c0 = 0.5 * (
         (w_s[0] * p[0] * p[0] + w_s[1] * p[1] * p[1]) * (w_t[j] / s) * (w_t[o] / c)
         + (w_t[0] * p[2] * p[2] + w_t[1] * p[3] * p[3]) * (w_s[0] / s) * (w_s[1] / c)
@@ -406,7 +382,9 @@ def overlap_coupled(
 
     Initial indices label the source normal modes, final indices the
     target normal modes, each in that profile's (plus, minus) order;
-    for gamma = 0 these are the literal (x, y) channels.
+    for gamma = 0 these are the literal (x, y) channels.  As a tensor's
+    rectangle is, the block up to (n1_prime, n2_prime) is refused where an
+    entry is not finite or its mass passes 1 + 1e-10 (Bessel's inequality).
     """
     n_x = check_mode_index(n_x, "n_x")
     n_y = check_mode_index(n_y, "n_y")
@@ -414,6 +392,8 @@ def overlap_coupled(
     n2_prime = check_mode_index(n2_prime, "n2_prime")
     block = _coupled_block(source, target, n_x, n_y, n1_prime, n2_prime)
     _refuse_nonfinite(block)
+    with np.errstate(over="ignore"):
+        _refuse_overfull(np.vdot(block, block), f"the coupled block up to ({n1_prime}, {n2_prime})")
     return float(block[n1_prime, n2_prime])
 
 
@@ -447,12 +427,8 @@ def _target_mode_moments(
             p, q = omega / s[k] / s[l], s[k] * s[l] / omega
             return r[k] * r[l] * (p + q) / 2.0, r[k] * r[l] * (p - q) / 2.0
 
-        try:
-            (a11, b11), (a22, b22), (a12, b12) = a_b(0, 0), a_b(1, 1), a_b(0, 1)
-            l1, l2 = (omega * mu * r[k] / (math.sqrt(2.0) * s[k]) for k in (0, 1))
-        except ZeroDivisionError:
-            out.append((math.nan, math.nan))
-            continue
+        (a11, b11), (a22, b22), (a12, b12) = a_b(0, 0), a_b(1, 1), a_b(0, 1)
+        l1, l2 = (omega * mu * r[k] / (math.sqrt(2.0) * s[k]) for k in (0, 1))
         mean = a11 * (n1 + 0.5) + a22 * (n2 + 0.5) + omega * mu * mu / 2.0 - 0.5
         var = (
             a12 * a12 * (2 * n1 * n2 + n1 + n2)

@@ -156,6 +156,7 @@ class OverlapKernel:
     prefactor: float
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_kernel(source: OscillatorFrame, target: OscillatorFrame) -> OverlapKernel:
     """Assemble the overlap kernel for a source -> target channel pair.
 
@@ -164,7 +165,8 @@ def build_kernel(source: OscillatorFrame, target: OscillatorFrame) -> OverlapKer
     Raises
     ------
     NumericOverflowError
-        A kernel quantity left double range (extreme frequency ratios).
+        A kernel quantity left double range (extreme frequency ratios); the
+        steps run with numpy's warnings off, so this is the one refusal.
     """
     one = dd.from_float(1.0)
     l2 = dd.div(one, dd.from_float(source.omega))

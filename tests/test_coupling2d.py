@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -311,8 +313,9 @@ class TestOverlapCoupled:
 
     def test_extreme_profiles_answer_or_refuse(self):
         # frequencies 1e-150..1e150, centres up to 1e200, cross-coupling up to
-        # 0.999 of the limit: a finite answer or a typed refusal, never a
-        # ZeroDivisionError, OverflowError or numpy warning (errors here)
+        # 0.999 of the limit: a finite answer with |amp| <= 1 or a typed
+        # refusal, never a ZeroDivisionError, OverflowError or numpy warning
+        # (errors here)
         rng = np.random.default_rng(17)
 
         def profile():
@@ -333,11 +336,23 @@ class TestOverlapCoupled:
                 lambda: coupled_tensor(source, target, n_x, n_y, 1e-6, 16).values,
             ):
                 try:
-                    assert np.isfinite(call()).all()
+                    amp = np.abs(call())
+                    assert np.isfinite(amp).all() and amp.max() <= 1.0 + 1e-10
                     answered += 1
                 except (NumericOverflowError, NotPositiveDefiniteError, PartialTensorError):
                     pass
         assert answered > 0
+
+    def test_overfull_block_refused(self):
+        # the target is the stiffer by 1e83 and shifted by 1e40: this block
+        # came back with amplitude -3.7e91, where no set of target modes
+        # carries more than mass 1 (Bessel's inequality)
+        source = Waveguide2D(1.4933535027360897e-97, 1.6037316602407827e-73, 0.0, (0.0, 0.0))
+        target = Waveguide2D(
+            2.076005917584979e22, 8.449660469922764e60, 0.0, (-1.3665883845656835e40, -213544053.5202808)
+        )
+        with pytest.raises(NumericOverflowError, match=r"block up to \(0, 8\) carries mass .* > 1"):
+            overlap_coupled(source, target, 0, 1, 0, 8)
 
     def test_numpy_scalar_profiles_answer_as_floats(self):
         # the same kind of extreme profiles given as np.float64 scalars: the
@@ -538,6 +553,33 @@ class TestShearedBlock:
         assert peak < 10e6
 
 
+def _ground_overlap_mp(source, target):
+    """<0,0|0,0> at 80 digits: (det A_s det A_t)^(1/4) 2 / sqrt(det Q)
+    exp(-d^T A_s Q^-1 A_t d / 2), with each envelope A the square root of the
+    profile's form matrix M, (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)),
+    so det A = sqrt(det M), Q = A_s + A_t and d = c_t - c_s.  The 2 x 2
+    determinants and Q^-1 = adj Q / det Q are written out: ``mp.det`` reads
+    the det M of tiny frequencies as 0."""
+
+    def det(a):
+        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+
+    with mp.workdps(80):
+
+        def envelope(w):
+            half = mp.mpf(w.gamma) / 2
+            m = mp.matrix([[mp.mpf(w.omega_x) ** 2, half], [half, mp.mpf(w.omega_y) ** 2]])
+            root = mp.sqrt(det(m))
+            return (m + root * mp.eye(2)) / mp.sqrt(m[0, 0] + m[1, 1] + 2 * root), root
+
+        (a_s, det_s), (a_t, det_t) = envelope(source), envelope(target)
+        q = a_s + a_t
+        adj_q = mp.matrix([[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]])
+        d = mp.matrix([mp.mpf(ct) - mp.mpf(cs) for cs, ct in zip(source.center, target.center)])
+        expo = (d.T * a_s * adj_q * a_t * d)[0] / det(q)
+        return float((det_s * det_t) ** 0.25 * 2 / mp.sqrt(det(q)) * mp.exp(-expo / 2))
+
+
 class TestCoupledTensor:
     def test_mass_target(self):
         src = Waveguide2D(1.0, 1.3)
@@ -558,26 +600,49 @@ class TestCoupledTensor:
             assert info.value.tensor.values.shape == (cap + 1, cap + 1)
 
     @pytest.mark.parametrize(
-        "source,target,mass",
+        "source,target,n_x,n_y,mass",
+        [
+            (
+                Waveguide2D(1.4933535027360897e-97, 1.6037316602407827e-73, 0.0, (0.0, 0.0)),
+                Waveguide2D(2.076005917584979e22, 8.449660469922764e60, 0.0, (-1.3665883845656835e40, -213544053.5202808)),
+                0, 1, "3.39895740176e+183",
+            ),
+            # every entry finite, their squares not
+            (
+                Waveguide2D(1.1015858357305538e112, 3.1655650994821705e-143, 3.626387596075798e-31, (0.0, 0.0)),
+                Waveguide2D(1.7438227441527384e140, 6.246341784461455e78, -1.5834855811876548e219, (0.0, 2114304666.8205717)),
+                2, 0, "inf",
+            ),
+        ],
+        ids=["mass-3.4e183", "mass-inf"],
+    )
+    def test_overfull_rectangle_refused(self, source, target, n_x, n_y, mass):
+        # no rectangle of true overlaps holds more than mass 1
+        with pytest.raises(NumericOverflowError, match=re.escape(f"carries mass {mass} > 1")):
+            coupled_tensor(source, target, n_x, n_y, cap=16)
+
+    @pytest.mark.parametrize(
+        "source,target",
         [
             (
                 Waveguide2D(2.3367943218213827e-53, 6.688921981130077e-81, -3.081843125532545e-133, (0.0, 1.7094368264558726e20)),
                 Waveguide2D(3.621452179198231e48, 8.765109746050025e23, 3.747708964335484e72, (0.013426400866363855, 0.0)),
-                "1.25779464259",
             ),
-            # every entry finite (up to 4.3e180), their squares not
             (
                 Waveguide2D(1.977176640076857e-68, 1.0146941160470718e-139, -3.153370496403585e-207, (0.0, -1.113724751120093e58)),
                 Waveguide2D(2.1042351469444317e-33, 4.2192303273689624e-18, -1.6286257524001453e-50, (1.5991066637447194e34, 0.0)),
-                "inf",
             ),
         ],
     )
-    def test_overfull_rectangle_refused(self, source, target, mass):
-        # no rectangle of true overlaps holds more than mass 1: these used to
-        # come back with captured_mass 1.2578 and inf
-        with pytest.raises(NumericOverflowError, match=rf"carries mass {mass} > 1"):
+    def test_far_shifted_ground_overlap_answered(self, source, target):
+        # shifted by far more than the stiffer profile's lengths: the centre
+        # found in the (x, y) frame cancelled and these rectangles came back
+        # overfull (mass 1.2578 and inf); solved in the sheared frame they
+        # are partial tensors whose ground entry is the closed form's
+        with pytest.raises(PartialTensorError) as info:
             coupled_tensor(source, target, 0, 0, cap=16)
+        got = info.value.tensor.values[0, 0]
+        assert got == pytest.approx(_ground_overlap_mp(source, target), rel=1e-10, abs=0.0)
 
     def test_matches_separable_when_uncoupled(self):
         src, tgt = separable_pair(dx=1.0, dy=0.5)

@@ -240,6 +240,15 @@ class TestBuildKernel:
         assert np.allclose([k1.ry1, k1.ry2], [k2.ry1, k2.ry2])
         assert k1.prefactor == pytest.approx(k2.prefactor)
 
+    def test_out_of_range_steps_refused_without_warnings(self):
+        # d / omega leaves double range inside the double-double steps; with
+        # warnings as errors the refusal must be the NumericOverflowError,
+        # not numpy's "overflow encountered in scalar multiply"
+        source = OscillatorFrame(1.3219264946074055e-140, -3.26571073259077e281)
+        target = OscillatorFrame(8.580373148017826e99, -2.5608131557821784e282)
+        with pytest.raises(NumericOverflowError, match="kernel .* not finite"):
+            build_kernel(source, target)
+
 
 def taylor_table(kernel, top):
     """Brute-force oracle: Taylor coefficients of the generating function
