@@ -271,16 +271,21 @@ def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair(source: Waveguide2D, target: Waveguide2D) -> tuple:
+    """The coupled pair's geometry in Python floats, set up once for the
+    block and the moments: ``(w_s, w_t, g, p)``, the source's and target's
+    normal frequencies, g[k][i] = e_k.f_i (source axis k on target axis i)
+    and p = (e_0, e_1, f_0, f_1).(c_s - c_t)."""
+    nm_s, nm_t = normal_modes(source), normal_modes(target)
+    e_s, f = nm_s.axes.tolist(), nm_t.axes.tolist()
+    g = [[x * f[i][0] + y * f[i][1] for i in (0, 1)] for x, y in e_s]
+    dx, dy = (ct - cs for ct, cs in zip(target.center, source.center))
+    p = [-x * dx - y * dy for x, y in e_s + f]
+    return nm_s.frequencies, nm_t.frequencies, g, p
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _coupled_block(
-    source: Waveguide2D,
-    target: Waveguide2D,
-    n_x: int,
-    n_y: int,
-    top1: int,
-    top2: int,
-    modes=None,
-) -> np.ndarray:
+def _coupled_block(pair: tuple, n_x: int, n_y: int, top1: int, top2: int) -> np.ndarray:
     """Amplitudes <(n_x, n_y) | (k1, k2)'> for k1 <= top1, k2 <= top2.
 
     Tensor Gauss-Hermite on the combined Gaussian envelope Q, in target
@@ -295,13 +300,12 @@ def _coupled_block(
     t_i; a zero source index has no Hermite factor.  Every factor is a 1D
     oscillator function via the scaled-Hermite split, so the Gaussian
     bookkeeping stays exact.  The 2 x 2 set-up runs on Python floats from
-    ``modes``, the source's and target's :class:`NormalModes` (computed if
-    None), in target coordinates: Q_oo, the shear, s and the Gaussian's
-    constant as sums of positive terms, so that neither det Q nor the
-    cancellation of an ill-conditioned Q enters the Jacobian 2 / (sqrt(s)
-    sqrt(Q_oo)) or the Gaussian, and the combined Gaussian's centre from
-    the same LDL^T factors of F Q F^T, with no pivoting; only the shift of
-    the centres enters.
+    ``pair``, the geometry of :func:`_pair`, in target coordinates: Q_oo,
+    the shear, s and the Gaussian's constant as sums of positive terms, so
+    that neither det Q nor the cancellation of an ill-conditioned Q enters
+    the Jacobian 2 / (sqrt(s) sqrt(Q_oo)) or the Gaussian, and the combined
+    Gaussian's centre from the same LDL^T factors of F Q F^T, with no
+    pivoting; only the shift of the centres enters.
     Overflow is computed silently: callers refuse the part they read if it
     is not finite (``_refuse_nonfinite``), the one refusal; a set-up value
     out of range (the frequencies' product, the Gaussian's constant) makes
@@ -312,28 +316,23 @@ def _coupled_block(
         n_x + n_y, top1 + top2, f"the coupled block up to ({top1}, {top2})",
         "; lower the cap (--cap)",
     )
-    nm_s, nm_t = modes or (normal_modes(source), normal_modes(target))
+    w_s, w_t, g, p = pair
     tops, n_src = (top1, top2), (n_x, n_y)
     j, o = (0, 1) if top1 >= top2 else (1, 0)
-    # in target coordinates u = F (r - c_t): the source axes g_m = F e_m (G
+    # in target coordinates u = F (r - c_t): the source axes g[k] = F e_k (G
     # orthogonal), Q_oo = c, Q_jo = c shear and, by Lagrange's identity, the
     # Schur complement s = Q_jj - Q_jo^2 / c = w_t,j + (w_t,o B_jj + w_s,0
     # w_s,1) / c with B = G^T diag(w_s) G: sums of positive terms, however
     # ill-conditioned Q is
-    f, e_s = nm_t.axes.tolist(), nm_s.axes.tolist()
-    w_s, w_t = nm_s.frequencies, nm_t.frequencies
-    g = [(x * f[j][0] + y * f[j][1], x * f[o][0] + y * f[o][1]) for x, y in e_s]
-    c = w_s[0] * g[0][1] * g[0][1] + w_s[1] * g[1][1] * g[1][1] + w_t[o]
-    shear = (w_s[0] * g[0][0] * g[0][1] + w_s[1] * g[1][0] * g[1][1]) / c
-    b_jj = w_s[0] * g[0][0] * g[0][0] + w_s[1] * g[1][0] * g[1][0]
+    c = w_s[0] * g[0][o] * g[0][o] + w_s[1] * g[1][o] * g[1][o] + w_t[o]
+    shear = (w_s[0] * g[0][j] * g[0][o] + w_s[1] * g[1][j] * g[1][o]) / c
+    b_jj = w_s[0] * g[0][j] * g[0][j] + w_s[1] * g[1][j] * g[1][j]
     s = w_t[j] + w_t[o] * (b_jj / c) + w_s[0] * (w_s[1] / c)
-    # delta = c_s - c_t along the source axes and the target axes (p); the
+    # p is delta = c_s - c_t along the source axes and the target axes; the
     # combined Gaussian's centre is ubar = x - d' with d' = F (c_t - c_s) and
     # Q x = D d', D = diag(w_t), solved with Q's LDL^T factors c, shear and s
     # (side o first); its constant is delta^T B Q^-1 D delta / 2 = (det D
     # delta^T B delta + det B delta^T D delta) / (2 det Q), det Q = s c
-    dx, dy = (ct - cs for ct, cs in zip(target.center, source.center))
-    p = [-x * dx - y * dy for x, y in e_s + f]
     d_j, d_o = -p[2 + j], -p[2 + o]
     x_j = (w_t[j] * d_j - shear * (w_t[o] * d_o)) / s
     ubar_j, ubar_o = x_j - d_j, w_t[o] * d_o / c - shear * x_j - d_o
@@ -355,9 +354,9 @@ def _coupled_block(
     pure = _poly_stack(tops[j], u_j * math.sqrt(w_t[j]))
     mixed = _poly_stack(tops[o], u_o * math.sqrt(w_t[o]))
     weight = rule.weights[:, None] * inner.weights
-    for (g_j, g_o), p_m, w, n in zip(g, p, w_s, n_src):
+    for g_k, p_k, w, n in zip(g, p, w_s, n_src):
         if n:  # source axis e: e.(r - c_s) = (F e).u - e.(c_s - c_t)
-            weight *= hermite_scaled(n, (g_j * u_j[:, None] + g_o * u_o - p_m) * math.sqrt(w))
+            weight *= hermite_scaled(n, (g_k[j] * u_j[:, None] + g_k[o] * u_o - p_k) * math.sqrt(w))
     summed = np.einsum("aik,ik->ai", mixed, weight)
     return scale * (pure @ summed.T if j == 0 else summed @ pure.T)
 
@@ -390,38 +389,33 @@ def overlap_coupled(
     n_y = check_mode_index(n_y, "n_y")
     n1_prime = check_mode_index(n1_prime, "n1_prime")
     n2_prime = check_mode_index(n2_prime, "n2_prime")
-    block = _coupled_block(source, target, n_x, n_y, n1_prime, n2_prime)
+    block = _coupled_block(_pair(source, target), n_x, n_y, n1_prime, n2_prime)
     _refuse_nonfinite(block)
     with np.errstate(over="ignore"):
         _refuse_overfull(np.vdot(block, block), f"the coupled block up to ({n1_prime}, {n2_prime})")
     return float(block[n1_prime, n2_prime])
 
 
-def _target_mode_moments(
-    source: Waveguide2D, target: Waveguide2D, n_x: int, n_y: int, modes=None
-) -> list:
+def _target_mode_moments(pair: tuple, n_x: int, n_y: int) -> list:
     """(mean, variance) of each target normal-mode index (plus, minus) for
     the source Fock state (n_x, n_y) on its normal modes, exact; the 2D
     analogue of :func:`selfoc.coupling1d._n_prime_moments`.
 
-    Along target axis f (frequency Omega, source offset mu), N + 1/2 =
-    (Omega v^2 + pi^2 / Omega) / 2 is, in the source ladder operators a_k
-    (axes e_k, s_k = sqrt(Omega_k), r_k = f.e_k), sum A_kl a_k^+ a_l +
-    (B_kl a_k^+ a_l^+ + h.c.) / 2 + sum L_k (a_k^+ + a_k) + const with
-    A, B = r_k r_l (Omega / (s_k s_l) +- s_k s_l / Omega) / 2 and L_k =
-    Omega mu r_k / (sqrt(2) s_k).  Each off-diagonal term moves the state to
-    its own neighbour, so Var N is the sum of their squared norms.  Python
-    floats: values out of double range come back inf or NaN.  ``modes`` are
-    the two profiles' :class:`NormalModes`, computed if None.
+    Along target axis f_i (frequency Omega, source offset mu = p[2 + i]),
+    N + 1/2 = (Omega v^2 + pi^2 / Omega) / 2 is, in the source ladder
+    operators a_k (axes e_k, s_k = sqrt(Omega_k), r_k = g[k][i]), sum A_kl
+    a_k^+ a_l + (B_kl a_k^+ a_l^+ + h.c.) / 2 + sum L_k (a_k^+ + a_k) +
+    const with A, B = r_k r_l (Omega / (s_k s_l) +- s_k s_l / Omega) / 2 and
+    L_k = Omega mu r_k / (sqrt(2) s_k).  Each off-diagonal term moves the
+    state to its own neighbour, so Var N is the sum of their squared norms.
+    ``pair`` is the geometry of :func:`_pair`.  Python floats: values out of
+    double range come back inf or NaN.
     """
-    nm_s, nm_t = modes or (normal_modes(source), normal_modes(target))
-    s = [math.sqrt(w) for w in nm_s.frequencies]
-    shift = [cs - ct for cs, ct in zip(source.center, target.center)]
+    w_s, w_t, g, p = pair
+    s = [math.sqrt(w) for w in w_s]
     n1, n2 = n_x, n_y
     out = []
-    for omega, f in zip(nm_t.frequencies, nm_t.axes.tolist()):
-        r = [f[0] * e[0] + f[1] * e[1] for e in nm_s.axes.tolist()]
-        mu = f[0] * shift[0] + f[1] * shift[1]
+    for omega, r, mu in zip(w_t, zip(*g), p[2:]):
 
         def a_b(k, l):
             p, q = omega / s[k] / s[l], s[k] * s[l] / omega
@@ -441,14 +435,14 @@ def _target_mode_moments(
     return out
 
 
-def _first_block(source, target, n_x, n_y, step, cap, modes=None) -> list:
+def _first_block(pair, n_x, n_y, step, cap) -> list:
     """Block extents for :func:`coupled_tensor` to compute ahead: mean + 4
     sigma + 12 of each target index, rounded up to ``step`` and held to
     ``cap``; ``min(step, cap)``, the growth's start, where the moments leave
     double range.  The skewed index distributions reach their 1e-6 tails
     about 6 sigma out: a margin of 8 rebuilt a third of the blocks."""
     tops = []
-    for mean, var in _target_mode_moments(source, target, n_x, n_y, modes):
+    for mean, var in _target_mode_moments(pair, n_x, n_y):
         edge = mean + 4.0 * math.sqrt(var) + 12.0
         tops.append(min(step * math.ceil(edge / step), cap) if math.isfinite(edge) else min(step, cap))
     return tops
@@ -466,18 +460,19 @@ def coupled_tensor(
 
     The side whose outermost row/column still carries more probability is
     expanded first, 8 indices at a time; edge tails within 1e-12 of each
-    other are a tie, which the first side wins.  The growth is replayed on
-    leading sub-blocks of one block computed ahead to where the moments of
-    the target indices say the mass ends (``_first_block``); a step past
-    that block rebuilds it 16 indices past the edge asked for.  Each step
-    reads its mass and edge tails from the block's probability prefix sums
-    and checks its rectangle for non-finite entries only where the mass is
-    not finite.  The profiles' normal modes are computed once and shared by
-    the moments and every block.  The default cap is deliberately modest: a
-    block's Hermite stacks hold (t_small + 1) order order_o + (t_big + 1)
-    order doubles, with the exact Gauss counts order = (n_x + n_y + t1 +
-    t2) // 2 + 1 and order_o = (n_x + n_y + t_small) // 2 + 1, a cube in
-    the edge.
+    other, or within 2^-50 of the captured mass (a few ulp, the block's
+    round-off on small tails), are a tie, which the first side wins.  The
+    growth is replayed on leading sub-blocks of one block computed ahead to
+    where the moments of the target indices say the mass ends
+    (``_first_block``); a step past that block rebuilds it 16 indices past
+    the edge asked for.  Each step reads its mass and edge tails from the
+    block's probability prefix sums and checks its rectangle for non-finite
+    entries only where the mass is not finite.  ``pair``, the pair's
+    geometry (:func:`_pair`), is set up once and shared by the moments and
+    every block.  The default cap is deliberately modest: a block's Hermite
+    stacks hold (t_small + 1) order order_o + (t_big + 1) order doubles,
+    with the exact Gauss counts order = (n_x + n_y + t1 + t2) // 2 + 1 and
+    order_o = (n_x + n_y + t_small) // 2 + 1, a cube in the edge.
     """
     n_x = check_mode_index(n_x, "n_x")
     n_y = check_mode_index(n_y, "n_y")
@@ -485,15 +480,15 @@ def coupled_tensor(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     cap = check_mode_index(cap, "cap")
     step = 8
-    modes = normal_modes(source), normal_modes(target)
-    ahead = _first_block(source, target, n_x, n_y, step, cap, modes)
+    pair = _pair(source, target)
+    ahead = _first_block(pair, n_x, n_y, step, cap)
     block = sums = None
 
     def evaluate(tops):
         nonlocal ahead, block, sums
         if block is None or tops[0] > ahead[0] or tops[1] > ahead[1]:
             ahead = [a if t <= a else min(t + 2 * step, cap) for t, a in zip(tops, ahead)]
-            block = _coupled_block(source, target, n_x, n_y, *ahead, modes)
+            block = _coupled_block(pair, n_x, n_y, *ahead)
             with np.errstate(over="ignore"):
                 prob = block * block
             cols = prob.cumsum(0)
@@ -506,7 +501,7 @@ def coupled_tensor(
             _refuse_nonfinite(values)
         if mass > 1.0 + 1e-10:  # the mass reached 1 - epsilon: the last step
             _refuse_overfull(mass, f"the coupled rectangle up to ({tops[0]}, {tops[1]})")
-        if tails[1] - tails[0] <= 1e-12 * tails[1]:
+        if tails[1] - tails[0] <= 1e-12 * tails[1] + 2.0**-50 * mass:
             tails = (tails[1], tails[1])
         return values, mass, tails
 

@@ -229,6 +229,36 @@ class TestExitCodes:
         assert "is not positive definite" in err
         assert "domain" not in err
 
+    @pytest.mark.parametrize(
+        "scenario,argv,expected,message",
+        [
+            ("ratio = 3\nD 9\n", ("spectrum1d",), 2, "line 2: expected 'key = value'"),
+            ("ratio = abc\n", ("spectrum1d",), 2, "bad value for 'ratio': 'abc'"),
+            (None, ("spectrum1d", "--D", "9"), 2,
+             "--ratio must be given with the dimensionless parameterization"),
+            (None, ("spectrum1d", "--ratio", "3", "--D", "-1"), 2, "--D must be non-negative"),
+            (None, ("spectrum1d", "--ratio", "3", "--cap", "5000"), 2,
+             "--cap must be in [0, 4096], got 5000"),
+            (None, ("spectrum1d", "--ratio", "3", "--n", "5000"), 2,
+             "--n must be in [0, 4096], got 5000"),
+            (None, ("matrix", "--ratio", "3", "--D", "1", "--n-max", "12", "--n-prime-max", "10"),
+             0, "# warning: n_max=12 > n_prime_max=10"),
+        ],
+        ids=["no-equals", "bad-value", "D-without-ratio", "negative-D", "cap-past-4096",
+             "n-past-4096", "matrix-rows-past-columns"],
+    )
+    def test_refusals_and_warnings_as_printed(
+        self, capsys, tmp_path, scenario, argv, expected, message
+    ):
+        if scenario is not None:
+            path = tmp_path / "s.scenario"
+            path.write_text(scenario)
+            argv += ("--scenario", str(path))
+        code, out, err = invoke(capsys, *argv)
+        assert code == expected
+        assert message in err
+        assert (out == "") == (expected != 0)
+
     def test_gamma_on_spectrum2d_rejected(self, capsys):
         code, _, err = invoke(
             capsys, "spectrum2d", "--ratio-x", "2", "--ratio-y", "3", "--gamma-prime", "1"

@@ -332,6 +332,14 @@ class TestFcEstimate:
         assert cand["near"] == 2
         assert cand["far"] > cand["near"]
 
+    def test_target_below_the_source_mirrors_the_candidates(self):
+        # d = -4 mirrors d = +4: the same levels, the turning points swapped
+        above = fc_candidates(transition(1.0, 3.0, 4.0, 2))
+        below = fc_candidates(transition(1.0, 3.0, -4.0, 2))
+        assert (below["near"], below["far"]) == (above["near"], above["far"]) == (4, 58)
+        assert below["x_near"] == -above["x_near"] == pytest.approx(-math.sqrt(5.0))
+        assert below["x_far"] == -above["x_far"]
+
     def test_returned_value_is_near_side(self):
         t = transition(1.0, 3.0, 4.0, 3)
         assert fc_estimate(t) == fc_candidates(t)["near"]

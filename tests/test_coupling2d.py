@@ -29,7 +29,7 @@ from selfoc import (
     spectrum2d_separable,
 )
 from selfoc.coupling1d import _n_prime_moments, quad_order_for
-from selfoc.coupling2d import _first_block, _target_mode_moments
+from selfoc.coupling2d import _first_block, _pair, _target_mode_moments
 from selfoc.hermite import (
     MODE_INDEX_CAP,
     _refuse_overfull,
@@ -60,6 +60,10 @@ class TestWaveguide2D:
     def test_bad_frequencies(self, wx, wy):
         with pytest.raises(ValueError):
             Waveguide2D(wx, wy)
+
+    def test_bad_gamma(self):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            Waveguide2D(1.0, 1.0, math.nan)
 
     def test_bad_center(self):
         with pytest.raises(ValueError):
@@ -291,7 +295,7 @@ class TestOverlapCoupled:
         def block(at):
             source = Waveguide2D(1.0, 1.3, 0.4, (at, at))
             target = Waveguide2D(2.0, 3.0, 1.5, (at + 0.5, at + 0.25))
-            return coupling2d._coupled_block(source, target, 1, 1, 12, 8)
+            return coupling2d._coupled_block(_pair(source, target), 1, 1, 12, 8)
 
         np.testing.assert_array_equal(block(offset), block(0.0))
 
@@ -506,7 +510,7 @@ class TestPolyStack:
 class TestShearedBlock:
     @pytest.mark.parametrize("request_", seeded_block_requests() + seeded_small_side_requests())
     def test_matches_eigenframe_block(self, request_):
-        got = coupling2d._coupled_block(*request_)
+        got = coupling2d._coupled_block(_pair(*request_[:2]), *request_[2:])
         want = _eigenframe_block(*request_)
         assert got.shape == want.shape == (request_[4] + 1, request_[5] + 1)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
@@ -518,7 +522,7 @@ class TestShearedBlock:
         tracemalloc.start()
         try:
             with pytest.raises(CapExceededError, match=r"up to \(4096, 2384\) .* order of 3241"):
-                coupling2d._coupled_block(source, target, 0, 0, 4096, 2384)
+                coupling2d._coupled_block(_pair(source, target), 0, 0, 4096, 2384)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -535,7 +539,7 @@ class TestShearedBlock:
 
         monkeypatch.setattr(coupling2d, "_poly_stack", spy)
         source, target = Waveguide2D(1.0, 1.3), Waveguide2D(2.0, 3.0, 1.0, (1.0, 0.5))
-        coupling2d._coupled_block(source, target, 1, 0, *tops)
+        coupling2d._coupled_block(_pair(source, target), 1, 0, *tops)
         order, inner = quad_order_for(1, sum(tops)), quad_order_for(1, min(tops))
         assert sorted(stacks) == sorted([(max(tops), (order,)), (min(tops), (order, inner))])
 
@@ -545,7 +549,7 @@ class TestShearedBlock:
         gauss_hermite(quad_order_for(4, 209 + 25))
         tracemalloc.start()
         try:
-            block = coupling2d._coupled_block(source, target, 2, 2, 209, 25)
+            block = coupling2d._coupled_block(_pair(source, target), 2, 2, 209, 25)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -581,6 +585,13 @@ def _ground_overlap_mp(source, target):
 
 
 class TestCoupledTensor:
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -1e-8, 1.5])
+    @pytest.mark.parametrize("grow_", [spectrum2d_separable, coupled_tensor])
+    def test_epsilon_outside_the_open_unit_interval_rejected(self, grow_, epsilon):
+        src, tgt = separable_pair()
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+            grow_(src, tgt, 0, 0, epsilon)
+
     def test_mass_target(self):
         src = Waveguide2D(1.0, 1.3)
         tgt = Waveguide2D(2.0, 3.0, 1.0, (1.0, 0.5))
@@ -702,6 +713,13 @@ class TestSchmidtReport:
             values=np.zeros((2, 2)), captured_mass=0.0, initial=(0, 0), epsilon=1e-8
         )
         with pytest.raises(ValueError):
+            schmidt_report(ten)
+
+    def test_zero_size_tensor_rejected(self):
+        ten = CouplingTensor(
+            values=np.zeros((0, 3)), captured_mass=1.0, initial=(0, 0), epsilon=1e-8
+        )
+        with pytest.raises(ValueError, match="empty coupling tensor"):
             schmidt_report(ten)
 
 
@@ -834,16 +852,18 @@ def rebuild_reference(source, target, n_x, n_y, epsilon, cap):
     It takes the near-tie rule of the replay: at an exact symmetry the
     loop without it followed round-off, and symmetric-tie came out 41 x 33
     with one BLAS thread and 33 x 41 with two."""
+    pair = _pair(source, target)
 
     def evaluate(tops):
-        values = coupling2d._coupled_block(source, target, n_x, n_y, *tops)
+        values = coupling2d._coupled_block(pair, n_x, n_y, *tops)
         if not np.isfinite(values).all():
             raise NumericOverflowError("coupled amplitude block is not finite")
         prob = values * values
+        mass = float(prob.sum())
         tails = (float(prob[-1, :].sum()), float(prob[:, -1].sum()))
-        if tails[1] - tails[0] <= 1e-12 * tails[1]:
+        if tails[1] - tails[0] <= 1e-12 * tails[1] + 2.0**-50 * mass:
             tails = (tails[1], tails[1])
-        return values, float(prob.sum()), tails
+        return values, mass, tails
 
     tops = [min(8, cap)] * 2
     while True:
@@ -883,7 +903,7 @@ class TestCoupledReplay:
         block = coupling2d._coupled_block
 
         def counted(*args):
-            calls.append(args[4:])
+            calls.append(args[3:])
             return block(*args)
 
         monkeypatch.setattr(coupling2d, "_coupled_block", counted)
@@ -904,7 +924,7 @@ class TestCoupledReplay:
     def test_near_tie_goes_to_the_first_side(self, monkeypatch):
         # amplitudes 2^-(k1+k2+2)/2 (1 + 1e-14 k2): the second side's edge
         # tail is larger, by round-off, at every square rectangle
-        def block(source, target, n_x, n_y, top1, top2, modes=None):
+        def block(pair, n_x, n_y, top1, top2):
             k1, k2 = np.ogrid[: top1 + 1, : top2 + 1]
             return 0.5 * math.sqrt(0.5) ** (k1 + k2) * (1.0 + 1e-14 * k2)
 
@@ -914,7 +934,7 @@ class TestCoupledReplay:
 
     def test_non_finite_replayed_entry_refused(self, monkeypatch):
         # a stubbed block, finite but for entry (8, 8) of the first rectangle
-        def block(source, target, n_x, n_y, top1, top2, modes=None):
+        def block(pair, n_x, n_y, top1, top2):
             values = np.full((top1 + 1, top2 + 1), 0.01)
             values[8, 8] = math.inf
             return values
@@ -927,7 +947,7 @@ class TestCoupledReplay:
     def test_non_finite_entry_computed_ahead_answered(self, monkeypatch):
         # the near-tie stub, with an inf at (30, 0) of the block built ahead to
         # row 40: the growth stops at (24, 16) and never reads it
-        def block(source, target, n_x, n_y, top1, top2, modes=None):
+        def block(pair, n_x, n_y, top1, top2):
             k1, k2 = np.ogrid[: top1 + 1, : top2 + 1]
             values = 0.5 * math.sqrt(0.5) ** (k1 + k2) * (1.0 + 1e-14 * k2)
             if top1 >= 30:
@@ -943,7 +963,7 @@ class TestCoupledReplay:
     def test_non_finite_entry_refused_at_the_step_reading_it(self, monkeypatch):
         # finite through the first rectangle (8, 8); the second, (16, 8),
         # holds the inf at (16, 0)
-        def block(source, target, n_x, n_y, top1, top2, modes=None):
+        def block(pair, n_x, n_y, top1, top2):
             values = np.full((top1 + 1, top2 + 1), 0.01)
             values[16, 0] = math.inf
             return values
@@ -956,6 +976,22 @@ class TestCoupledReplay:
     def test_symmetric_tie_goes_to_the_first_side(self):
         # the tails at (8, 8), (16, 16), ... agree to round-off only; the
         # separable path, whose tails tie exactly, grows side 0 there too
+        tensor = coupled_tensor(*PINNED_REQUESTS["symmetric-tie"])
+        assert tensor.values.shape == (41, 33)
+
+    @pytest.mark.parametrize("skew", [1e-11, 1e-10])
+    def test_symmetric_tie_holds_past_the_relative_rule(self, monkeypatch, skew):
+        # the tails at (32, 32), 2.75e-8, agree to a few 1e-12 relative, a
+        # gap that grows about tenfold per step: skewing the second side by
+        # 1e-11 passes the relative rule, not the floor of 2^-50 of the mass
+        block = coupling2d._coupled_block
+
+        def skewed(*args):
+            values = block(*args)
+            k2 = np.arange(values.shape[1])
+            return values * (1.0 + skew * k2 / values.shape[1])
+
+        monkeypatch.setattr(coupling2d, "_coupled_block", skewed)
         tensor = coupled_tensor(*PINNED_REQUESTS["symmetric-tie"])
         assert tensor.values.shape == (41, 33)
 
@@ -1108,12 +1144,63 @@ class TestValuesBuiltOnce:
         assert tensor.values.shape == finishes[0].shape
 
 
+def seeded_ground_requests(count=24):
+    """(source, target) pairs for ground-state sources: target ratios
+    0.4-4 with cross-couplings up to 0.9 of the positive-definite limit,
+    every second source cross-coupled too."""
+    rng = np.random.default_rng(20)
+    out = []
+    for i in range(count):
+        rx, ry = np.exp(rng.uniform(math.log(0.4), math.log(4.0), size=2))
+        gamma_t = 2.0 * rng.uniform(-0.9, 0.9) * rx * ry
+        target = Waveguide2D(rx, ry, gamma_t, tuple(rng.uniform(-2.0, 2.0, size=2)))
+        sy = rng.uniform(0.5, 2.0)
+        gamma_s = 2.0 * rng.uniform(-0.6, 0.6) * sy if i % 2 else 0.0
+        out.append((Waveguide2D(1.0, sy, gamma_s), target))
+    return out
+
+
+def _x_log_x(x):
+    return x * math.log(x) if x > 0.0 else 0.0
+
+
+class TestGaussianOracle:
+    """A (0, 0) source is a Gaussian state, and so is its image in the
+    target modes.  One target mode (Omega, axis f) has the reduced
+    covariance V_x = Omega sum_k g_k^2 / (2 w_k) and V_p = sum_k g_k^2 w_k /
+    (2 Omega), g_k = e_k.f, with no cross term; its symplectic eigenvalue
+    nu = sqrt(V_x V_p) gives the Schmidt entropy and the singular values
+    sqrt((1 - lambda) lambda^k), lambda = (nu - 1/2) / (nu + 1/2).  Only
+    the normal modes are shared with the block."""
+
+    @pytest.mark.parametrize(
+        "source,target",
+        # the gamma = 0 pair factorizes: nu = 1/2 and the entropy is 0
+        seeded_ground_requests() + [separable_pair(1.0, 0.5)],
+        ids=[f"seeded-{i}" for i in range(24)] + ["uncoupled"],
+    )
+    def test_entropy_and_singular_values(self, source, target):
+        nm_s, nm_t = normal_modes(source), normal_modes(target)
+        omega, w = nm_t.omega_plus, np.array(nm_s.frequencies)
+        g = nm_s.axes @ nm_t.axes[0]
+        v_x = omega * float(np.sum(g * g / (2.0 * w)))
+        v_p = float(np.sum(g * g * w)) / (2.0 * omega)
+        nu = math.sqrt(v_x * v_p)
+        lam = (nu - 0.5) / (nu + 0.5)
+        report = schmidt_report(coupled_tensor(source, target, 0, 0, epsilon=1e-10))
+        assert report.entropy == pytest.approx(_x_log_x(nu + 0.5) - _x_log_x(nu - 0.5), abs=1e-8)
+        k = np.arange(report.singular_values.size)
+        np.testing.assert_allclose(
+            report.singular_values, np.sqrt((1.0 - lam) * lam**k), rtol=0.0, atol=1e-7
+        )
+
+
 class TestTargetModeMoments:
     @pytest.mark.parametrize("n_x,n_y", [(0, 0), (1, 0), (2, 3), (5, 1), (40, 7)])
     def test_uncoupled_pair_matches_1d_moments(self, n_x, n_y):
         source = Waveguide2D(1.3, 0.8, 0.0, (0.5, -1.0))
         target = Waveguide2D(2.0, 3.5, 0.0, (2.0, 1.5))
-        moments = _target_mode_moments(source, target, n_x, n_y)
+        moments = _target_mode_moments(_pair(source, target), n_x, n_y)
         for (mean, var), t in zip(moments, uncoupled_transitions(source, target, n_x, n_y)):
             want_mean, want_var = _n_prime_moments(t)
             assert mean == pytest.approx(want_mean, rel=1e-13)
@@ -1132,7 +1219,7 @@ class TestTargetModeMoments:
     def test_complete_coupled_tensor_moments(self, source, n_x, n_y):
         target = Waveguide2D(2.0, 3.0, 1.0, (1.0, 0.5))
         tensor = coupled_tensor(source, target, n_x, n_y, epsilon=1e-12)
-        moments = _target_mode_moments(source, target, n_x, n_y)
+        moments = _target_mode_moments(_pair(source, target), n_x, n_y)
         prob = tensor.probability
         for (mean, var), marginal in zip(moments, (prob.sum(axis=1), prob.sum(axis=0))):
             k = np.arange(len(marginal))
@@ -1143,21 +1230,21 @@ class TestTargetModeMoments:
     def test_first_block_rounds_to_the_step_and_cap(self):
         source = Waveguide2D(1.0, 1.0)
         target = Waveguide2D(2.5, 2.5, 5.0, (5.0, 5.0))
-        moments = _target_mode_moments(source, target, 2, 2)
+        moments = _target_mode_moments(_pair(source, target), 2, 2)
         want = [8 * math.ceil((mean + 4.0 * math.sqrt(var) + 12.0) / 8) for mean, var in moments]
-        assert _first_block(source, target, 2, 2, 8, 256) == want
-        assert _first_block(source, target, 2, 2, 8, 100) == [min(w, 100) for w in want]
+        assert _first_block(_pair(source, target), 2, 2, 8, 256) == want
+        assert _first_block(_pair(source, target), 2, 2, 8, 100) == [min(w, 100) for w in want]
 
     def test_overflowing_moments_fall_back_to_the_start(self):
         source, target = Waveguide2D(1.0, 1.0), Waveguide2D(1e300, 1e300)
-        assert _first_block(source, target, 0, 0, 8, 16) == [8, 8]
-        assert _first_block(source, target, 0, 0, 8, 4) == [4, 4]
+        assert _first_block(_pair(source, target), 0, 0, 8, 16) == [8, 8]
+        assert _first_block(_pair(source, target), 0, 0, 8, 4) == [4, 4]
 
     def test_overflowing_normal_frequencies_refused(self):
         source, target = Waveguide2D(1.0, 1.0), Waveguide2D(1e300, 2.0, 1.0)
         for call in (
             lambda: normal_modes(target),
-            lambda: _first_block(source, target, 0, 0, 8, 16),
+            lambda: _first_block(_pair(source, target), 0, 0, 8, 16),
             lambda: coupled_tensor(source, target, 0, 0, 1e-8, 16),
         ):
             with pytest.raises(NumericOverflowError, match="normal frequencies .* not finite"):
