@@ -45,25 +45,16 @@ _COMMON = {
     "format": (str, "csv"),
     "out": (str, None),
 }
-_KEYS_1D = {
+_AXIS_KEYS = {
     "omega": (float, None),
     "omega-prime": (float, None),
     "d": (float, None),
     "ratio": (float, None),
     "D": (float, None),
-    "n": (int, 0),
 }
+_KEYS_1D = {**_AXIS_KEYS, "n": (int, 0)}
 _KEYS_2D = {
-    "omega-x": (float, None),
-    "omega-y": (float, None),
-    "omega-prime-x": (float, None),
-    "omega-prime-y": (float, None),
-    "d-x": (float, None),
-    "d-y": (float, None),
-    "ratio-x": (float, None),
-    "ratio-y": (float, None),
-    "D-x": (float, None),
-    "D-y": (float, None),
+    **{key + s: spec for key, spec in _AXIS_KEYS.items() for s in ("-x", "-y")},
     "gamma": (float, 0.0),
     "gamma-prime": (float, 0.0),
     "nx": (int, 0),
@@ -143,9 +134,9 @@ def _resolve(ns: argparse.Namespace) -> dict:
     from_file = _load_scenario(ns.scenario, keys) if ns.scenario else {}
     params = {"kind": ns.kind}
     for key, (_typ, default) in keys.items():
-        flag_value = getattr(ns, key)
-        if flag_value is not None:
-            params[key] = flag_value
+        flag = getattr(ns, key)
+        if flag is not None:
+            params[key] = flag
         elif key in from_file:
             params[key] = from_file[key]
         else:
@@ -208,10 +199,8 @@ def _check_common(params):
         raise _CliError(f"--format must be one of {_FORMATS}, got {params['format']!r}")
     if not (0.0 < params["eps"] < 1.0):
         raise _CliError(f"--eps must be in (0, 1), got {params['eps']}")
-    if not (0 <= params["cap"] <= MODE_INDEX_CAP):
-        raise _CliError(f"--cap must be in [0, {MODE_INDEX_CAP}], got {params['cap']}")
-    for key in ("n", "nx", "ny", "n-max", "n-prime-max"):
-        if key in params and not (0 <= params[key] <= MODE_INDEX_CAP):
+    for key, (typ, _default) in _SUBCOMMAND_KEYS[params["kind"]].items():
+        if typ is int and not (0 <= params[key] <= MODE_INDEX_CAP):
             raise _CliError(f"--{key} must be in [0, {MODE_INDEX_CAP}], got {params[key]}")
 
 
@@ -340,9 +329,9 @@ def _dispatch(params):
         else:
             grow = coupled_tensor if _coupled(params) else spectrum2d_separable
             result = grow(source, target, params["nx"], params["ny"], epsilon=eps, cap=cap)
-    except (PartialSpectrumError, PartialTensorError) as exc:
-        result = exc.spectrum if isinstance(exc, PartialSpectrumError) else exc.tensor
-        code, capped = 3, [f"cap reached: {exc}"]
+    except (PartialSpectrumError, PartialTensorError) as partial:
+        result = partial.spectrum if isinstance(partial, PartialSpectrumError) else partial.tensor
+        code, capped = 3, [f"cap reached: {partial}"]
     report = _grown_report(result)
     table = _schmidt_table(result, report) if kind == "entropy" else _grown_table(result)
     return code, table, report + capped

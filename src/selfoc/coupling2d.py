@@ -18,9 +18,8 @@ from .coupling1d import Transition1D, _exact_rule, _first_extent, quad_order_for
 from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialTensorError
 from .hermite import (
     MODE_INDEX_CAP,
-    _RESCALE_BITS,
     OscillatorFrame,
-    _ladder,
+    _poly_stack,
     _refuse_overfull,
     _TableBuilder,
     build_kernel,
@@ -258,17 +257,6 @@ def spectrum2d_separable(
         evaluate, lambda amps: np.outer(*amps), 32, cap, epsilon, (n_x, n_y),
         f"with both channels at the hard cap {cap}",
     )
-
-
-def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
-    """hermite_scaled(k, xi) for k = 0..n_top, stacked on axis 0: the
-    levels are computed in place in the stack, and a rescaled level's
-    scale is undone in place once the ladder is done."""
-    out = np.empty((n_top + 1,) + xi.shape)
-    scaled = [(level, e) for level, e in _ladder(xi, out=out) if not isinstance(e, int)]
-    for level, e in scaled:
-        np.ldexp(level, _RESCALE_BITS * e, out=level)
-    return out
 
 
 def _pair(source: Waveguide2D, target: Waveguide2D) -> tuple:

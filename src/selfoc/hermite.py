@@ -57,17 +57,17 @@ class OscillatorFrame:
 
 
 def _ladder(xi, phi0=None, e=0, out=None):
-    """Yield (phi_k, e) of phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1))
-    phi_{k-1} from phi_0 = phi0 (ones if None), phi_{-1} = 0; the true level
-    is ldexp(phi_k, 512 e).  Each level is computed in place with the
-    formula's IEEE operations, in a fresh array, or in row k of ``out``
-    (levels on axis 0), where the ladder ends at the last row, no level is
-    allocated and the products sqrt(2/(k+1)) xi are formed in one call.  A
-    level passing 1e150 is scaled with the one below by 2**-512 there and e
-    goes up by 1 (e is rebound only then; the level below is scaled in a
-    copy, so a yielded level never changes): exact, so finite levels keep
-    their bits.  No level passes 1.0865 max|phi0| exp(max xi^2/2) (Cramer,
-    A&S 22.14.17)."""
+    """Yield (phi_k, phi_{k-1}, e) of phi_{k+1} = sqrt(2/(k+1)) xi phi_k -
+    sqrt(k/(k+1)) phi_{k-1} from phi_0 = phi0 (ones if None), phi_{-1} = 0;
+    the true levels are ldexp(phi, 512 e), so phi_{k-1} is on phi_k's scale.
+    Each level is computed in place with the formula's IEEE operations, in a
+    fresh array, or in row k of ``out`` (levels on axis 0), where the ladder
+    ends at the last row, no level is allocated and the products sqrt(2/(k+1))
+    xi are formed in one call.  A level passing 1e150 is scaled with the one
+    below by 2**-512 there and e goes up by 1 (e is rebound only then; the
+    level below is scaled in a copy, so a yielded level never changes): exact,
+    so finite levels keep their bits.  No level passes 1.0865 max|phi0|
+    exp(max xi^2/2) (Cramer, A&S 22.14.17)."""
     peak = 1.0 if phi0 is None else np.abs(phi0).max(initial=1e-300)
     if out is not None:
         out[0] = 1.0 if phi0 is None else phi0
@@ -75,7 +75,7 @@ def _ladder(xi, phi0=None, e=0, out=None):
         np.multiply.outer(np.sqrt(2.0 / np.arange(1.0, len(out))), xi, out=out[1:])
     elif phi0 is None:
         phi0 = np.ones_like(xi)
-    yield phi0, e
+    yield phi0, 0.0, e
     prev, cur, scaled_prev = 0.0, phi0, np.empty_like(xi)
     top = float(np.abs(xi).max(initial=0.0))
     rescale = not 0.5 * top * top + math.log(peak) <= math.log(_RESCALE_AT / 1.0865)
@@ -88,15 +88,41 @@ def _ladder(xi, phi0=None, e=0, out=None):
             nxt *= factor
             cur, e = cur * factor, e + big
         prev, cur = cur, nxt
-        yield cur, e
+        yield cur, prev, e
 
 
 def _level(n: int, xi, phi0=None, e=0):
     """Level n of :func:`_ladder` with its scale undone; a float for scalar input."""
-    phi, e = next(islice(_ladder(xi, phi0, e), n, None))
+    phi, _, e = next(islice(_ladder(xi, phi0, e), n, None))
     if not isinstance(e, int):  # an int e is the start's 0: nothing was scaled
         phi = np.ldexp(phi, _RESCALE_BITS * e)
     return phi if phi.ndim else float(phi)
+
+
+def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
+    """hermite_scaled(k, xi) for k = 0..n_top on axis 0, computed in place in
+    the stack; a rescaled level's scale is undone in place after the ladder."""
+    out = np.empty((n_top + 1,) + xi.shape)
+    scaled = [(level, e) for level, _, e in _ladder(xi, out=out) if not isinstance(e, int)]
+    for level, e in scaled:
+        np.ldexp(level, _RESCALE_BITS * e, out=level)
+    return out
+
+
+def _scaled_pass(order: int, x: np.ndarray):
+    """One sweep of :func:`_ladder` at the points ``x``: (f_order, f_{order-1},
+    sum_{k<order} f_k^2, logscale), all three on f_order's scale.  The true
+    function is f_k * common factor * exp(logscale); ratios and the weight
+    formula are scale-free, so that factor is never formed."""
+    levels = _ladder(x)
+    (f, _, e), s = next(levels), 0.0
+    for _ in range(order):
+        s, e_below = s + f * f, e
+        f, f_below, e = next(levels)
+        if e is not e_below:
+            factor = np.ldexp(1.0, _RESCALE_BITS * (e_below - e))
+            s = s * factor * factor
+    return f, f_below, s, e * _RESCALE_BITS * math.log(2.0)
 
 
 def hermite_scaled(n: int, xi):

@@ -5,9 +5,11 @@ and Gatteschi's Airy expansion for the outermost few (Gatteschi 2002,
 J. Comput. Appl. Math. 144:7; Townsend, Trogdon & Olver 2016, IMA J.
 Numer. Anal. 36:337), and are then Newton-polished on the Hermite-function
 recurrence; weights follow from the Christoffel sum of one last pass.
-Both read the rescaled levels of :func:`selfoc.hermite._ladder`, so rules
-stay generatable far past the order where raw polynomial values or bare
-Gaussians leave double range.  numpy is the only library used.
+Newton reads level ``order`` of :func:`selfoc.hermite._ladder` and the one
+below on one scale, the weights :func:`selfoc.hermite._scaled_pass`; neither
+reads the scale exponent, so rules stay generatable far past the order where
+raw polynomial values or bare Gaussians leave double range.  numpy is the
+only library used.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConvergenceError
-from .hermite import _RESCALE_BITS, _ladder
+from .hermite import _ladder, _scaled_pass
 
 MAX_ORDER = 2048
 SQRT_PI = math.sqrt(math.pi)
@@ -62,32 +64,6 @@ def _initial_nodes(order: int) -> np.ndarray:
     )
     outer = np.sqrt(x2)
     return np.concatenate((-outer, np.zeros(order % 2), outer[::-1]))
-
-
-def _scaled_pass(order: int, x: np.ndarray):
-    """One sweep of :func:`selfoc.hermite._ladder` at the points ``x``:
-    (f_order, f_{order-1}, sum_{k<order} f_k^2, logscale), the middle two
-    rescaled with f_order by the same exact factors.  The true function is
-    f_k * common factor * exp(logscale); ratios and the weight formula are
-    scale-free, so that factor is never formed."""
-    levels = _ladder(x)
-    (f, e), s = next(levels), 0.0
-    for _ in range(order):
-        s, f_below, e_below = s + f * f, f, e
-        f, e = next(levels)
-        if e is not e_below:
-            factor = np.ldexp(1.0, _RESCALE_BITS * (e_below - e))
-            s, f_below = s * factor * factor, f_below * factor
-    return f, f_below, s, e * _RESCALE_BITS * math.log(2.0)
-
-
-def _newton_levels(order: int, x: np.ndarray):
-    """(f_order, f_{order-1}) of :func:`_scaled_pass`, bit for bit, without
-    the sum of squares a Newton step does not read."""
-    (f_below, e_below), (f, e) = islice(_ladder(x), order - 1, order + 1)
-    if e is not e_below:
-        f_below = f_below * np.ldexp(1.0, _RESCALE_BITS * (e_below - e))
-    return f, f_below
 
 
 def _mirror(half: np.ndarray, order: int, sign: float = 1.0) -> np.ndarray:
@@ -144,7 +120,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     x = _initial_nodes(order)[order // 2 :]
     sqrt2n = math.sqrt(2.0 * order)
     for _ in range(100):
-        f_n, f_nm1 = _newton_levels(order, x)
+        f_n, f_nm1, _ = next(islice(_ladder(x), order, None))
         dx = f_n / (sqrt2n * f_nm1 - x * f_n)
         x = x - dx
         if np.all(np.abs(dx) <= 1e-15 * np.maximum(1.0, np.abs(x))):

@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selfoc import QuadratureRule, gauss_hermite, integrate
+from selfoc.hermite import _ladder
 from selfoc.quadrature import _initial_nodes, _scaled_pass
 
 SQRT_PI = math.sqrt(math.pi)
@@ -118,16 +120,22 @@ def _bits(a, shape):
 PINNED_ORDERS = [*range(1, 301), 400, 513, 800, 1210, 2048]
 
 
+def _pinned_points(order: int) -> np.ndarray:
+    """The order's rule nodes and seeded points out past the largest node,
+    where levels pass 1e150 and are rescaled."""
+    reach = math.sqrt(2.0 * order) + 5.0
+    rng = np.random.default_rng(order)
+    nodes = gauss_hermite(order).nodes
+    return np.concatenate([nodes, rng.uniform(-reach, reach, 64), [-reach, reach]])
+
+
 def test_scaled_pass_bits_pinned():
-    # at the rule's nodes and at seeded points out past the largest node,
-    # where levels pass 1e150 and are rescaled, up to six times at order
-    # 2048; logscale is bit-exact up to two rescales, and past that the
-    # weight exp(-2 logscale) / s underflows to 0 whatever its last bits
+    # levels are rescaled up to six times at order 2048; logscale is
+    # bit-exact up to two rescales, and past that the weight
+    # exp(-2 logscale) / s underflows to 0 whatever its last bits
     for order in PINNED_ORDERS:
         rule = gauss_hermite(order)
-        reach = math.sqrt(2.0 * order) + 5.0
-        rng = np.random.default_rng(order)
-        x = np.concatenate([rule.nodes, rng.uniform(-reach, reach, 64), [-reach, reach]])
+        x = _pinned_points(order)
         ref = _reference_pass(order, x)
         got = _scaled_pass(order, x)
         for name, a, b in zip(("f_n", "f_nm1", "s"), got[:3], ref[:3]):
@@ -140,6 +148,22 @@ def test_scaled_pass_bits_pinned():
         with np.errstate(under="ignore"):
             w = SQRT_PI * np.exp(-2.0 * ref[3][:order]) / ref[2][:order]
         assert rule.weights.tobytes() == w.tobytes(), order
+
+
+def test_newton_pair_is_the_pinned_pass_pair():
+    # Newton reads level ``order`` and the level below straight from the
+    # ladder; at these orders the last step rescales at one or two of the
+    # points, where the level below is the ladder's rescaled copy
+    rescaled_last = set()
+    for order in PINNED_ORDERS:
+        x = _pinned_points(order)
+        (_, _, e_below), (f_n, f_nm1, e) = islice(_ladder(x), order - 1, order + 1)
+        want_n, want_nm1 = _scaled_pass(order, x)[:2]
+        assert f_n.tobytes() == want_n.tobytes(), order
+        assert f_nm1.tobytes() == want_nm1.tobytes(), order
+        if np.any(e != e_below):
+            rescaled_last.add(order)
+    assert rescaled_last == {271, 282, 288, 298}
 
 
 #: SHA-256 of nodes.tobytes() + weights.tobytes() per order: however the
