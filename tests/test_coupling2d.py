@@ -683,7 +683,8 @@ def _target_shifted(rng, shape):
 
 def _far_centres(rng, shape):
     """Centres log-uniform in 1e-3..1e200 in magnitude, of random sign."""
-    return np.exp(rng.uniform(math.log(1e-3), math.log(1e200), shape)) * rng.choice((-1.0, 1.0), shape)
+    magnitude = np.exp(rng.uniform(math.log(1e-3), math.log(1e200), shape))
+    return magnitude * rng.choice((-1.0, 1.0), shape)
 
 
 @functools.cache
