@@ -234,6 +234,17 @@ def _index_factors():
     return factors
 
 
+def _carve(buffer, *shapes):
+    """Consecutive contiguous views of the given shapes from the start of a
+    flat buffer."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
 class _TableBuilder:
     """Incrementally grown scaled table of one kernel in compensated
     arithmetic; holds the kernel, whose prefactor makes ``amplitude`` the
@@ -242,14 +253,16 @@ class _TableBuilder:
     High and low words live in two arrays ``hi`` and ``lo`` of n_rows + 1
     rows, filled in place: storage column j is table column j - 1, and
     column 0 holds the zeros of column m = -1.  Row 0 is filled along m
-    (three-term recurrence) in one loop over Python floats that runs the
-    IEEE operations of the ``_dd`` calls in their order, so its bits are
-    those the calls would give; the Dekker splits of the coefficients and
-    index factors are taken once per fill, and that of each new entry once.
-    Each further row depends only on the two rows below it, so rows
-    vectorize over the new columns.  Every entry comes out the same however
-    the columns were split into ``extend`` calls, so spectra can extend
-    their cutoff without recomputation.
+    (three-term recurrence) in one loop over Python floats (``_row0``).
+    Each further row depends only on the two rows below it and is one row
+    step over the new columns (``_rows``), in ``_dd``'s array forms: a row
+    is split once, when it is written, and its products with (ry1, r12,
+    r11) serve the next two rows.  Both run the IEEE operations of the
+    plain ``_dd`` calls in their order, so every bit is what those calls
+    would give.  The workspaces of a fill are allocated per ``extend`` and
+    freed with it.  Every entry comes out the same however the columns were
+    split into ``extend`` calls, so spectra can extend their cutoff without
+    recomputation.
     """
 
     def __init__(self, kernel: OverlapKernel, n_rows: int):
@@ -262,48 +275,111 @@ class _TableBuilder:
         """Fill all rows out to column ``m_new`` (inclusive)."""
         if m_new <= self.m:
             return
-        sq_hi, sq_lo, inv_hi, inv_lo = _index_factors()
-        c, lo_col = self.kernel, self.m + 1
-        block = np.zeros((self.n_rows + 1, m_new - self.m))
-        self.hi = hi = np.concatenate([self.hi, block], axis=1)
-        self.lo = lo = np.concatenate([self.lo, block], axis=1)
+        lo_col = self.m + 1
+        # one zeroed buffer for both words, the old columns copied in: no
+        # block of zeros stays allocated through the fill
+        grown = np.zeros((2, self.n_rows + 1, m_new + 2))
+        grown[0, :, :lo_col + 1], grown[1, :, :lo_col + 1] = self.hi, self.lo
+        self.hi, self.lo = grown
         self._row0(m_new)
-
-        # rows n >= 1 over the new columns m; storage column m holds column
-        # m - 1, so ``shift`` reads h[n - 1, m - 1] and indexes sqrt(m/2)
-        new, shift = slice(lo_col + 1, m_new + 2), slice(lo_col, m_new + 1)
-        sq_m = (sq_hi[shift], sq_lo[shift])
-        # overflow surfaces as a typed error below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(1, self.n_rows + 1):
-                acc = dd.mul(c.ry1, (hi[n - 1, new], lo[n - 1, new]))
-                if n >= 2:
-                    t = dd.mul(c.r11, (hi[n - 2, new], lo[n - 2, new]))
-                    t = dd.mul(t, (sq_hi[n - 1], sq_lo[n - 1]))
-                    acc = dd.sub(acc, t)
-                t = dd.mul(c.r12, (hi[n - 1, shift], lo[n - 1, shift]))
-                t = dd.mul(t, sq_m)
-                acc = dd.sub(acc, t)
-                hi[n, new], lo[n, new] = dd.mul(acc, (inv_hi[n - 1], inv_lo[n - 1]))
+        if self.n_rows:
+            # overflow surfaces as a typed error below, not as a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._rows(lo_col, m_new)
         self.m = m_new
 
         # earlier fills found the columns before lo_col finite, and column m
         # depends only on columns <= m: the first column holding a non-finite
         # entry, at its lowest row, is named however the columns were split
-        if not (ok := np.isfinite(hi[:, new])).all():
+        if not (ok := np.isfinite(self.hi[:, lo_col + 1:])).all():
             m_bad = lo_col + int(ok.all(axis=0).argmin())
             n = int(ok[:, m_bad - lo_col].argmin())
             raise NumericOverflowError(
                 f"scaled Hermite table overflowed at entry (n={n}, m={m_bad})", index=(n, m_bad)
             )
 
+    @functools.cached_property
+    def _row_constants(self):
+        """For rows n >= 1: (ry1, r12, r11) and their split as (3, 1) columns,
+        and per row sqrt((n-1)/2) as a (4, 1) column of hi, lo and split and
+        1/sqrt(2n) and its split as 0-d arrays."""
+        c = self.kernel
+        coef = np.array([[*r, *dd.split(float(r[0]))] for r in (c.ry1, c.r12, c.r11)]).T[:, :, None]
+        sq_hi, sq_lo, inv_hi, inv_lo = (f[:self.n_rows] for f in _index_factors())
+        rows = np.array([sq_hi, sq_lo, *dd.split(sq_hi), inv_hi, inv_lo, *dd.split(inv_hi)]).T
+        return ((coef[0], coef[1]), (coef[2], coef[3]),
+                [(r[:4, None], (r[4, ...], r[5, ...]), (r[6, ...], r[7, ...])) for r in rows])
+
+    def _rows(self, lo_col: int, m_new: int):
+        """Rows n >= 1 for the columns lo_col..m_new.
+
+        Row n is dd.mul(dd.sub(dd.sub(ry1 h[n-1, m], r11 h[n-2, m] sq[n-1]),
+        r12 h[n-1, m-1] sq[m]), inv[n-1]) (no r11 term in row 1), run by
+        ``_dd``'s array forms with the same IEEE operations.  Once a row is
+        written, its window (the new columns and the one before them) is split
+        once and multiplied by (ry1, r12, r11) in one stacked product, which
+        the next two rows read; the two index-factor products of each row are
+        one stacked product too.  The workspaces last this one fill."""
+        hi, lo, k = self.hi, self.lo, m_new + 1 - lo_col
+        win, new = slice(lo_col, m_new + 2), slice(lo_col + 1, m_new + 2)
+        sq_hi, sq_lo = _index_factors()[:2]
+        coef, coef_split, row_factors = self._row_constants
+        # prod: (ry1, r12, r11) times the last row written; x: r12 h[n-1, m-1]
+        # and r11 h[n-2, m]; y: hi, lo and split of sqrt(m/2) over the
+        # columns and of sqrt((n-1)/2); t: x times y; acc: the row before its
+        # last product.  Each step's scratch comes from one shared buffer.
+        prod, x, y, t, acc = _carve(np.empty(6 * (k + 1) + 18 * k),
+                                    (2, 3, k + 1), (2, 2, k), (4, 2, k), (2, 2, k), (2, k))
+        scratch = np.empty(8 * (k + 1))
+        row_split, work3 = _carve(scratch, (2, k + 1), (2, 3, k + 1))
+        x_split, work2 = _carve(scratch, (2, 2, k), (2, 2, k))
+        work, acc_split = _carve(scratch, (3, k), (2, k))
+        x[:, 1] = 0.0  # row 1 has no r11 term
+        y[:2, 0] = sq_hi[lo_col:m_new + 1], sq_lo[lo_col:m_new + 1]
+        dd.split_into(y[0, 0], y[2:, 0])
+        # ``_dd`` reads each (hi, lo) pair as a tuple of views
+        prod, row_split, work3, x_pair, x_split, work2, t, acc, acc_split, work = map(
+            tuple, (prod, row_split, work3, x, x_split, work2, t, acc, acc_split, work))
+        ry1_new, r12_shift, r11_new = (
+            (prod[0][0, 1:], prod[1][0, 1:]), (prod[0][1, :-1], prod[1][1, :-1]),
+            (prod[0][2, 1:], prod[1][2, 1:]))
+        index_products = (x_pair, x_split, tuple(y[:2]), tuple(y[2:]), t, work2)
+        t_r12, t_r11 = (t[0][0], t[1][0]), (t[0][1], t[1][1])
+        (x_r12_hi, x_r11_hi), (x_r12_lo, x_r11_lo) = x
+        y_row = y[:, 1]
+
+        def coefficient_products(n):
+            row = hi[n, win]
+            dd.split_into(row, row_split)
+            dd.mul_into(coef, coef_split, (row, lo[n, win]), row_split, prod, work3)
+
+        coefficient_products(0)
+        for n, (sq_n, inv_n, inv_split) in enumerate(row_factors, 1):
+            x_r12_hi[...], x_r12_lo[...] = r12_shift
+            y_row[...] = sq_n
+            dd.split_into(x_pair[0], x_split)
+            dd.mul_into(*index_products)
+            if n >= 2:
+                dd.sub_into(ry1_new, t_r11, acc, work)
+                dd.sub_into(acc, t_r12, acc, work)
+            else:
+                dd.sub_into(ry1_new, t_r12, acc, work)
+            x_r11_hi[...], x_r11_lo[...] = r11_new
+            dd.split_into(acc[0], acc_split)
+            dd.mul_into(acc, acc_split, inv_n, inv_split, (hi[n, new], lo[n, new]), work[:2])
+            if n < self.n_rows:
+                coefficient_products(n)
+
     def _row0(self, m_new: int):
         """Row 0 for columns self.m+1..m_new, written into the store.
 
         Column m+1 is dd.mul(dd.sub(dd.mul(ry2, h[m]), dd.mul(dd.mul(r22,
-        h[m-1]), sq[m])), inv[m]), written out operation by operation (the
-        sub is skipped at m = 0).  (x0, x1) is a double-double and (xh, xl)
-        the Dekker split of x0; q and c are h[m-1] and h[m]."""
+        h[m-1]), sq[m])), inv[m]); column 1 (m = 0) has no sub and is peeled
+        off the loop, which writes the rest out operation by operation on
+        Python floats.  (x0, x1) is a double-double and (xh, xl) the Dekker
+        split of x0; q and c are h[m-1] and h[m].  The splits of the
+        coefficients and of this fill's index factors are taken once per fill,
+        that of each new entry once, and reused for the next two columns."""
         splitter = dd._SPLIT
         a0, a1 = float(self.kernel.ry2[0]), float(self.kernel.ry2[1])
         g0, g1 = float(self.kernel.r22[0]), float(self.kernel.r22[1])
@@ -312,37 +388,42 @@ class _TableBuilder:
         # h[m_old - 1] and h[m_old]; at m_old = 0 q is the zero column, never read
         q0, c0 = self.hi[0, m_old:m_old + 2].tolist()
         q1, c1 = self.lo[0, m_old:m_old + 2].tolist()
+        sq_hi, sq_lo, inv_hi, inv_lo = _index_factors()
+        new_hi, new_lo = [0.0] * (m_new - m_old), [0.0] * (m_new - m_old)
+        peel = m_old == 0 < m_new
+        if peel:
+            q0, q1 = c0, c1
+            c0, c1 = dd.mul(dd.mul((a0, a1), (c0, c1)), (float(inv_hi[0]), float(inv_lo[0])))
+            new_hi[0], new_lo[0] = c0, c1
         (ah, al), (gh, gl), (qh, ql), (ch, cl) = map(dd.split, (a0, g0, q0, c0))
-        sq0, sq1, inv0, inv1 = (f[m_old:m_new] for f in _index_factors())
+        sq0, sq1, inv0, inv1 = (f[m_old + peel:m_new] for f in (sq_hi, sq_lo, inv_hi, inv_lo))
         factors = (sq0, sq1, *dd.split(sq0), inv0, inv1, *dd.split(inv0))
-        columns = zip(range(m_old, m_new), *(f.tolist() for f in factors))
-        new_hi, new_lo = [], []
-        for m, s0, s1, sh, sl, v0, v1, vh, vl in columns:
+        columns = zip(range(peel, len(new_hi)), *(f.tolist() for f in factors))
+        for i, s0, s1, sh, sl, v0, v1, vh, vl in columns:
             # acc = ry2 * h[m]
             p = a0 * c0
             b = ((ah * ch - p) + ah * cl + al * ch) + al * cl + a0 * c1 + a1 * c0
             x0 = p + b
             x1 = b - (x0 - p)
-            if m:
-                # t = r22 * h[m-1]
-                p = g0 * q0
-                b = ((gh * qh - p) + gh * ql + gl * qh) + gl * ql + g0 * q1 + g1 * q0
-                t0 = p + b
-                t1 = b - (t0 - p)
-                # u = t * sq[m]
-                w = splitter * t0
-                th = w - (w - t0)
-                tl = t0 - th
-                p = t0 * s0
-                b = ((th * sh - p) + th * sl + tl * sh) + tl * sl + t0 * s1 + t1 * s0
-                u0 = p + b
-                u1 = b - (u0 - p)
-                # acc = acc - u
-                s = x0 - u0
-                t = s - x0
-                b = (x0 - (s - t)) + (-u0 - t) + x1 - u1
-                x0 = s + b
-                x1 = b - (x0 - s)
+            # t = r22 * h[m-1]
+            p = g0 * q0
+            b = ((gh * qh - p) + gh * ql + gl * qh) + gl * ql + g0 * q1 + g1 * q0
+            t0 = p + b
+            t1 = b - (t0 - p)
+            # u = t * sq[m]
+            w = splitter * t0
+            th = w - (w - t0)
+            tl = t0 - th
+            p = t0 * s0
+            b = ((th * sh - p) + th * sl + tl * sh) + tl * sl + t0 * s1 + t1 * s0
+            u0 = p + b
+            u1 = b - (u0 - p)
+            # acc = acc - u
+            s = x0 - u0
+            t = s - x0
+            b = (x0 - (s - t)) + (-u0 - t) + x1 - u1
+            x0 = s + b
+            x1 = b - (x0 - s)
             # h[m+1] = acc * inv[m]
             w = splitter * x0
             xh = w - (w - x0)
@@ -350,13 +431,11 @@ class _TableBuilder:
             p = x0 * v0
             b = ((xh * vh - p) + xh * vl + xl * vh) + xl * vl + x0 * v1 + x1 * v0
             q0, q1, qh, ql = c0, c1, ch, cl
-            c0 = p + b
-            c1 = b - (c0 - p)
+            c0 = new_hi[i] = p + b
+            c1 = new_lo[i] = b - (c0 - p)
             w = splitter * c0
             ch = w - (w - c0)
             cl = c0 - ch
-            new_hi.append(c0)
-            new_lo.append(c1)
         self.hi[0, m_old + 2:m_new + 2] = new_hi
         self.lo[0, m_old + 2:m_new + 2] = new_lo
 

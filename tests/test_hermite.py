@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import struct
 
@@ -330,6 +331,89 @@ class TestScaledHermiteTable:
         table = scaled_hermite_table(k, 3, 3)
         with pytest.raises(ValueError):
             table[0, 0] = 5.0
+
+
+def seeded_dd(rng, shape):
+    """A double-double array: magnitudes 1e-300-1e300 of both signs, +-0.0
+    in both words, and high words past 2**996, where a split turns into NaN."""
+    hi = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+    flat_hi = hi.reshape(-1)
+    # near the square root of the subnormal range, where products round
+    flat_hi[4::6] = np.sign(flat_hi[4::6]) * 10.0 ** rng.uniform(-166.0, -150.0, flat_hi[4::6].shape)
+    lo = hi * rng.uniform(-1.0, 1.0, shape) * 2.0**-54
+    flat_lo = lo.reshape(-1)
+    flat_hi[::7], flat_hi[3::7] = 0.0, -0.0
+    flat_lo[::5], flat_lo[2::5] = 0.0, -0.0
+    flat_hi[5::11] *= 2.0 ** (997 + 26 * rng.random(flat_hi[5::11].shape)) / np.abs(flat_hi[5::11])
+    return hi, lo
+
+
+def with_signed_zeros(x, y):
+    """x and y with their first 16 entries set to every combination of
+    signed zeros in their four words."""
+    words = [w.reshape(-1) for w in (*x, *y)]
+    for i, signs in enumerate(itertools.product([0.0, -0.0], repeat=4)):
+        for word, sign in zip(words, signs):
+            word[i] = sign
+    return x, y
+
+
+def assert_same_words(got, want):
+    """Each word equal bit for bit where ``want`` is finite, and non-finite
+    at the same places."""
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.broadcast_to(w, np.shape(g))
+        finite = np.isfinite(w)
+        assert np.array_equal(np.isfinite(g), finite)
+        assert g[finite].tobytes() == w[finite].tobytes()
+
+
+class TestArrayForms:
+    """The ``_dd`` forms that write into given arrays, in the shapes the row
+    fill uses them, give the bits of the plain ``split``, ``mul`` and
+    ``sub``; the table fill itself only reaches values a table produces."""
+
+    @pytest.fixture(autouse=True)
+    def _quiet(self):
+        with np.errstate(all="ignore"):
+            yield
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_split_into(self, seed):
+        a = seeded_dd(np.random.default_rng(seed), (2, 40))[0]
+        out = np.empty((2, 2, 40))
+        dd.split_into(a, out)
+        assert_same_words(out, dd.split(a))
+
+    @pytest.mark.parametrize(
+        "x_shape,y_shape",
+        [
+            ((2, 40), (2, 40)),  # the index-factor products, stacked
+            ((3, 1), (41,)),  # (ry1, r12, r11) times a row window
+            ((40,), ()),  # a row times 1/sqrt(2n)
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mul_into(self, seed, x_shape, y_shape):
+        rng = np.random.default_rng(seed)
+        x, y = seeded_dd(rng, x_shape), seeded_dd(rng, y_shape)
+        if x_shape == y_shape:
+            x, y = with_signed_zeros(x, y)
+        shape = np.broadcast_shapes(x_shape, y_shape)
+        out, work = np.empty((2,) + shape), np.empty((2,) + shape)
+        dd.mul_into(x, dd.split(x[0]), y, dd.split(y[0]), out, work)
+        assert_same_words(out, dd.mul(x, y))
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sub_into(self, seed, in_place):
+        rng = np.random.default_rng(seed)
+        x, y = with_signed_zeros(seeded_dd(rng, (60,)), seeded_dd(rng, (60,)))
+        y[0][16::3], y[1][16::3] = x[0][16::3], x[1][16::3]  # exact cancellations
+        want = dd.sub(x, y)
+        out = x if in_place else np.empty((2, 60))
+        dd.sub_into(x, y, out, np.empty((3, 60)))
+        assert_same_words(out, want)
 
 
 class TestTableChunking:
