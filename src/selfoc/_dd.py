@@ -3,13 +3,14 @@
 A value is a ``(hi, lo)`` pair whose unevaluated sum represents the number
 with roughly 32 significant digits.  Only the operations needed by the
 two-index Hermite recurrences are provided; everything broadcasts like
-numpy.  The plain forms serve the kernel's scalars and the index factors.
+numpy.  The plain forms serve the kernel's scalars and build the index
+factors with their splits, once per process (``hermite._index_factors``).
 The table's rows n >= 1 use ``split_into``, ``mul_into`` and ``sub_into``,
 which run the same IEEE operations in the same order into arrays the
 caller gives: a split taken once is passed in, not recomputed, and no
-intermediate is allocated (``hermite._TableBuilder._rows`` keeps the
-arrays for one fill).  Row 0 of the table, a sequential recurrence, runs
-these operations written out on Python floats
+intermediate is allocated (``hermite._TableBuilder._rows`` allocates the
+arrays, one per role, for each fill).  Row 0 of the table, a sequential
+recurrence, runs these operations written out on Python floats
 (``hermite._TableBuilder._row0``).  All three give the plain forms' bits.
 
 The extra precision is not cosmetic: the overlap recurrences cancel up to
@@ -99,8 +100,8 @@ def div(x, y):
 
 # Array forms: each ufunc writes into its last argument.  Pairs come as
 # tuples of arrays, since indexing a tuple costs less than making a row view
-# of an array, and scalars best as 0-d arrays, which numpy takes without
-# converting them on every call.
+# of an array, and scalars as arrays (0-d, or a (1,) view of the index
+# factors), which numpy takes without converting them on every call.
 
 
 def split_into(a, out):

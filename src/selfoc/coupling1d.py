@@ -32,8 +32,8 @@ from .hermite import (
 )
 from .quadrature import MAX_ORDER, gauss_hermite, integrate
 
-#: Largest first fill of :func:`spectrum1d`, in table entries (n + 1 rows
-#: times columns): 1 MiB of double-double values.
+#: Entry budget of :func:`spectrum1d`'s first fill (n + 1 rows times
+#: columns, 1 MiB of double-double values); see ``_first_extent``.
 _FIRST_FILL_ENTRIES = 1 << 16
 
 
@@ -200,12 +200,14 @@ def _n_prime_moments(t: Transition1D) -> tuple:
 def _first_extent(t: Transition1D) -> int:
     """First table extent for :func:`spectrum1d`: where the mass should end.
 
-    mean + 4 sigma of n' plus a margin of 16, at least 64 columns, and at
-    most ``_FIRST_FILL_ENTRIES`` table entries over the n + 1 rows: excited
-    inputs at large shifts spread so wide that a fill sized by the spread
-    alone would run to the cap, and hold a table of that size, before the
-    mass is even looked at.  Moments that leave double range (extreme
-    frequency ratios) fall back to that entry limit.
+    ceil(mean + 4 sigma) of n' plus a margin of 16, clamped to
+    ``_FIRST_FILL_ENTRIES // (n + 1)`` (near 2^16 entries over the n + 1
+    rows): excited inputs at large shifts spread so wide that a fill sized
+    by the spread alone would run to the cap, and hold a table of that
+    size, before the mass is even looked at.  Moments that leave double
+    range (extreme frequency ratios) leave only the clamp.  The floor of 64
+    comes last, so it wins for n >= 1024: n = 4000 fills columns 0..64 of
+    4001 rows, 260,065 entries or about 4 MB of double-double words.
     """
     mean, var = _n_prime_moments(t)
     spread = mean + 4.0 * math.sqrt(var)

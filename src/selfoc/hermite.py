@@ -221,28 +221,19 @@ def build_kernel(source: OscillatorFrame, target: OscillatorFrame) -> OverlapKer
 
 @functools.cache
 def _index_factors():
-    """Double-double sqrt(k/2) and 1/sqrt(2(k+1)) for k = 0..MODE_INDEX_CAP+2
-    as read-only (sq_hi, sq_lo, inv_hi, inv_lo), built once per process on
-    first use: every table reads its index factors from here."""
+    """The index factors of every table, built once per process on first use:
+    a read-only (8, MODE_INDEX_CAP + 3) array over k = 0..MODE_INDEX_CAP+2
+    whose rows are the double-double sqrt(k/2) (hi, lo) and the Dekker split
+    of its hi word, then the same four rows for 1/sqrt(2(k+1)).  Fills read
+    these splits and take none of their own."""
     k = np.arange(MODE_INDEX_CAP + 3, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         sq = dd.sqrt(dd.from_float(k / 2.0))
+    sq_hi, sq_lo = np.where(k == 0.0, 0.0, sq[0]), np.where(k == 0.0, 0.0, sq[1])
     inv = dd.div(dd.from_float(np.ones_like(k)), dd.sqrt(dd.from_float(2.0 * (k + 1.0))))
-    factors = (np.where(k == 0.0, 0.0, sq[0]), np.where(k == 0.0, 0.0, sq[1]), *inv)
-    for a in factors:
-        a.setflags(write=False)
+    factors = np.array([sq_hi, sq_lo, *dd.split(sq_hi), *inv, *dd.split(inv[0])])
+    factors.setflags(write=False)
     return factors
-
-
-def _carve(buffer, *shapes):
-    """Consecutive contiguous views of the given shapes from the start of a
-    flat buffer."""
-    views, at = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(buffer[at:at + size].reshape(shape))
-        at += size
-    return views
 
 
 class _TableBuilder:
@@ -256,11 +247,12 @@ class _TableBuilder:
     (three-term recurrence) in one loop over Python floats (``_row0``).
     Each further row depends only on the two rows below it and is one row
     step over the new columns (``_rows``), in ``_dd``'s array forms: a row
-    is split once, when it is written, and its products with (ry1, r12,
-    r11) serve the next two rows.  Both run the IEEE operations of the
-    plain ``_dd`` calls in their order, so every bit is what those calls
-    would give.  The workspaces of a fill are allocated per ``extend`` and
-    freed with it.  Every entry comes out the same however the columns were
+    is split once, at the start of the step above it, and its products with
+    (ry1, r12, r11) serve the next two rows.  Both run the IEEE operations
+    of the plain ``_dd`` calls in their order, so every bit is what those
+    calls would give.  Both read the index factors and their splits from
+    ``_index_factors()``; a fill's workspaces, one array per role, live for
+    its ``extend``.  Every entry comes out the same however the columns were
     split into ``extend`` calls, so spectra can extend their cutoff without
     recomputation.
     """
@@ -298,65 +290,46 @@ class _TableBuilder:
                 f"scaled Hermite table overflowed at entry (n={n}, m={m_bad})", index=(n, m_bad)
             )
 
-    @functools.cached_property
-    def _row_constants(self):
-        """For rows n >= 1: (ry1, r12, r11) and their split as (3, 1) columns,
-        and per row sqrt((n-1)/2) as a (4, 1) column of hi, lo and split and
-        1/sqrt(2n) and its split as 0-d arrays."""
-        c = self.kernel
-        coef = np.array([[*r, *dd.split(float(r[0]))] for r in (c.ry1, c.r12, c.r11)]).T[:, :, None]
-        sq_hi, sq_lo, inv_hi, inv_lo = (f[:self.n_rows] for f in _index_factors())
-        rows = np.array([sq_hi, sq_lo, *dd.split(sq_hi), inv_hi, inv_lo, *dd.split(inv_hi)]).T
-        return ((coef[0], coef[1]), (coef[2], coef[3]),
-                [(r[:4, None], (r[4, ...], r[5, ...]), (r[6, ...], r[7, ...])) for r in rows])
-
     def _rows(self, lo_col: int, m_new: int):
         """Rows n >= 1 for the columns lo_col..m_new.
 
         Row n is dd.mul(dd.sub(dd.sub(ry1 h[n-1, m], r11 h[n-2, m] sq[n-1]),
         r12 h[n-1, m-1] sq[m]), inv[n-1]) (no r11 term in row 1), run by
-        ``_dd``'s array forms with the same IEEE operations.  Once a row is
-        written, its window (the new columns and the one before them) is split
-        once and multiplied by (ry1, r12, r11) in one stacked product, which
-        the next two rows read; the two index-factor products of each row are
-        one stacked product too.  The workspaces last this one fill."""
-        hi, lo, k = self.hi, self.lo, m_new + 1 - lo_col
+        ``_dd``'s array forms with the same IEEE operations.  Row n starts by
+        splitting row n - 1's window (the new columns and the one before them)
+        and multiplying it by (ry1, r12, r11) in one stacked product, which
+        rows n and n + 1 read; the two index-factor products of each row are
+        one stacked product too.  The index factors and their splits are views
+        of ``_index_factors()``; the workspaces, one array per role, and the
+        coefficients with their split last this one fill."""
+        hi, lo, k, f = self.hi, self.lo, m_new + 1 - lo_col, _index_factors()
         win, new = slice(lo_col, m_new + 2), slice(lo_col + 1, m_new + 2)
-        sq_hi, sq_lo = _index_factors()[:2]
-        coef, coef_split, row_factors = self._row_constants
-        # prod: (ry1, r12, r11) times the last row written; x: r12 h[n-1, m-1]
-        # and r11 h[n-2, m]; y: hi, lo and split of sqrt(m/2) over the
-        # columns and of sqrt((n-1)/2); t: x times y; acc: the row before its
-        # last product.  Each step's scratch comes from one shared buffer.
-        prod, x, y, t, acc = _carve(np.empty(6 * (k + 1) + 18 * k),
-                                    (2, 3, k + 1), (2, 2, k), (4, 2, k), (2, 2, k), (2, k))
-        scratch = np.empty(8 * (k + 1))
-        row_split, work3 = _carve(scratch, (2, k + 1), (2, 3, k + 1))
-        x_split, work2 = _carve(scratch, (2, 2, k), (2, 2, k))
-        work, acc_split = _carve(scratch, (3, k), (2, k))
-        x[:, 1] = 0.0  # row 1 has no r11 term
-        y[:2, 0] = sq_hi[lo_col:m_new + 1], sq_lo[lo_col:m_new + 1]
-        dd.split_into(y[0, 0], y[2:, 0])
-        # ``_dd`` reads each (hi, lo) pair as a tuple of views
-        prod, row_split, work3, x_pair, x_split, work2, t, acc, acc_split, work = map(
-            tuple, (prod, row_split, work3, x, x_split, work2, t, acc, acc_split, work))
+        c = self.kernel
+        coef = np.array([[*r, *dd.split(float(r[0]))] for r in (c.ry1, c.r12, c.r11)]).T[:, :, None]
+        coef, coef_split = tuple(coef[:2]), tuple(coef[2:])
+        # prod: (ry1, r12, r11) times the row below; x: r12 h[n-1, m-1] and
+        # r11 h[n-2, m] (zero in row 1); y: hi, lo and split of sqrt(m/2) over
+        # the columns and of sqrt((n-1)/2); t: x times y; acc: the row before
+        # its last product.  ``_dd`` reads each (hi, lo) pair as a tuple of views.
+        x, y = np.zeros((2, 2, k)), np.empty((4, 2, k))
+        y[:, 0] = f[:4, lo_col:m_new + 1]
+        shapes = ((2, 3, k + 1), (2, k + 1), (2, 3, k + 1), (2, 2, k), (2, 2, k), (2, 2, k),
+                  (2, k), (2, k), (3, k))
+        prod, row_split, work3, x_split, t, work2, acc, acc_split, work = (
+            tuple(np.empty(shape)) for shape in shapes)
         ry1_new, r12_shift, r11_new = (
             (prod[0][0, 1:], prod[1][0, 1:]), (prod[0][1, :-1], prod[1][1, :-1]),
             (prod[0][2, 1:], prod[1][2, 1:]))
+        x_pair = tuple(x)
         index_products = (x_pair, x_split, tuple(y[:2]), tuple(y[2:]), t, work2)
         t_r12, t_r11 = (t[0][0], t[1][0]), (t[0][1], t[1][1])
         (x_r12_hi, x_r11_hi), (x_r12_lo, x_r11_lo) = x
-        y_row = y[:, 1]
-
-        def coefficient_products(n):
-            row = hi[n, win]
+        for n in range(1, self.n_rows + 1):
+            row, at = hi[n - 1, win], slice(n - 1, n)
             dd.split_into(row, row_split)
-            dd.mul_into(coef, coef_split, (row, lo[n, win]), row_split, prod, work3)
-
-        coefficient_products(0)
-        for n, (sq_n, inv_n, inv_split) in enumerate(row_factors, 1):
+            dd.mul_into(coef, coef_split, (row, lo[n - 1, win]), row_split, prod, work3)
             x_r12_hi[...], x_r12_lo[...] = r12_shift
-            y_row[...] = sq_n
+            y[:, 1] = f[:4, at]
             dd.split_into(x_pair[0], x_split)
             dd.mul_into(*index_products)
             if n >= 2:
@@ -366,9 +339,8 @@ class _TableBuilder:
                 dd.sub_into(ry1_new, t_r12, acc, work)
             x_r11_hi[...], x_r11_lo[...] = r11_new
             dd.split_into(acc[0], acc_split)
-            dd.mul_into(acc, acc_split, inv_n, inv_split, (hi[n, new], lo[n, new]), work[:2])
-            if n < self.n_rows:
-                coefficient_products(n)
+            dd.mul_into(acc, acc_split, (f[4, at], f[5, at]), (f[6, at], f[7, at]),
+                        (hi[n, new], lo[n, new]), work[:2])
 
     def _row0(self, m_new: int):
         """Row 0 for columns self.m+1..m_new, written into the store.
@@ -377,9 +349,10 @@ class _TableBuilder:
         h[m-1]), sq[m])), inv[m]); column 1 (m = 0) has no sub and is peeled
         off the loop, which writes the rest out operation by operation on
         Python floats.  (x0, x1) is a double-double and (xh, xl) the Dekker
-        split of x0; q and c are h[m-1] and h[m].  The splits of the
-        coefficients and of this fill's index factors are taken once per fill,
-        that of each new entry once, and reused for the next two columns."""
+        split of x0; q and c are h[m-1] and h[m].  The eight index factors of
+        each column, with their splits, come from ``_index_factors()`` in one
+        ``tolist``; the coefficients are split once per fill, each new entry
+        once, and that split is reused for the next two columns."""
         splitter = dd._SPLIT
         a0, a1 = float(self.kernel.ry2[0]), float(self.kernel.ry2[1])
         g0, g1 = float(self.kernel.r22[0]), float(self.kernel.r22[1])
@@ -388,17 +361,15 @@ class _TableBuilder:
         # h[m_old - 1] and h[m_old]; at m_old = 0 q is the zero column, never read
         q0, c0 = self.hi[0, m_old:m_old + 2].tolist()
         q1, c1 = self.lo[0, m_old:m_old + 2].tolist()
-        sq_hi, sq_lo, inv_hi, inv_lo = _index_factors()
+        f = _index_factors()
         new_hi, new_lo = [0.0] * (m_new - m_old), [0.0] * (m_new - m_old)
         peel = m_old == 0 < m_new
         if peel:
             q0, q1 = c0, c1
-            c0, c1 = dd.mul(dd.mul((a0, a1), (c0, c1)), (float(inv_hi[0]), float(inv_lo[0])))
+            c0, c1 = dd.mul(dd.mul((a0, a1), (c0, c1)), f[4:6, 0].tolist())
             new_hi[0], new_lo[0] = c0, c1
         (ah, al), (gh, gl), (qh, ql), (ch, cl) = map(dd.split, (a0, g0, q0, c0))
-        sq0, sq1, inv0, inv1 = (f[m_old + peel:m_new] for f in (sq_hi, sq_lo, inv_hi, inv_lo))
-        factors = (sq0, sq1, *dd.split(sq0), inv0, inv1, *dd.split(inv0))
-        columns = zip(range(peel, len(new_hi)), *(f.tolist() for f in factors))
+        columns = zip(range(peel, len(new_hi)), *f[:, m_old + peel:m_new].tolist())
         for i, s0, s1, sh, sl, v0, v1, vh, vl in columns:
             # acc = ry2 * h[m]
             p = a0 * c0

@@ -19,7 +19,7 @@ from selfoc import (
     scaled_hermite_table,
 )
 from selfoc import _dd as dd
-from selfoc.hermite import _TableBuilder
+from selfoc.hermite import _index_factors, _TableBuilder
 
 #: Column block of the table fill before it filled in place: ``_ReferenceFill``
 #: still splits its fills into blocks this wide.
@@ -390,7 +390,8 @@ class TestArrayForms:
         [
             ((2, 40), (2, 40)),  # the index-factor products, stacked
             ((3, 1), (41,)),  # (ry1, r12, r11) times a row window
-            ((40,), ()),  # a row times 1/sqrt(2n)
+            ((40,), ()),  # a row times a 0-d factor
+            ((40,), (1,)),  # a row times 1/sqrt(2n), a (1,) view of the factor table
         ],
     )
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -592,6 +593,19 @@ class TestFillBitsPinned:
             for k in range(n + 1):
                 assert_same_bits(builder.hi[k, 1:], want.hi[k])
                 assert_same_bits(builder.lo[k, 1:], want.lo[k])
+
+    def test_index_factor_table(self):
+        # the process table holds the reference's factors and their splits
+        f = _index_factors()
+        assert f.shape == (8, MODE_INDEX_CAP + 3)
+        assert not f.flags.writeable
+        want = _ReferenceFill(None, 0)
+        want._factors(MODE_INDEX_CAP + 2)
+        for rows, (hi, lo) in ((f[:4], want.sq), (f[4:], want.inv)):
+            assert_same_bits(rows[0], hi)
+            assert_same_bits(rows[1], lo)
+            for got, split in zip(rows[2:], dd.split(rows[0])):
+                assert_same_bits(got, split)
 
     @pytest.mark.parametrize(
         "ratio,big_d,n,steps",
