@@ -38,8 +38,7 @@ from .errors import (
     ConvergenceError,
     NotPositiveDefiniteError,
     NumericOverflowError,
-    PartialSpectrumError,
-    PartialTensorError,
+    PartialResultError,
 )
 from .hermite import (
     MODE_INDEX_CAP,
@@ -65,8 +64,7 @@ __all__ = [
     "NumericOverflowError",
     "OscillatorFrame",
     "OverlapKernel",
-    "PartialSpectrumError",
-    "PartialTensorError",
+    "PartialResultError",
     "QuadratureRule",
     "SchmidtReport",
     "Spectrum",

@@ -34,7 +34,7 @@ from .coupling2d import (
     schmidt_report,
     spectrum2d_separable,
 )
-from .errors import ConvergenceError, PartialSpectrumError, PartialTensorError
+from .errors import ConvergenceError, PartialResultError
 from .hermite import MODE_INDEX_CAP, OscillatorFrame
 
 _FORMATS = ("csv", "json", "plot")
@@ -329,8 +329,8 @@ def _dispatch(params):
         else:
             grow = coupled_tensor if _coupled(params) else spectrum2d_separable
             result = grow(source, target, params["nx"], params["ny"], epsilon=eps, cap=cap)
-    except (PartialSpectrumError, PartialTensorError) as partial:
-        result = partial.spectrum if isinstance(partial, PartialSpectrumError) else partial.tensor
+    except PartialResultError as partial:
+        result = partial.result
         code, capped = 3, [f"cap reached: {partial}"]
     report = _grown_report(result)
     table = _schmidt_table(result, report) if kind == "entropy" else _grown_table(result)

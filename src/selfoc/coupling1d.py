@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, NumericOverflowError, PartialSpectrumError
+from .errors import CapExceededError, NumericOverflowError, PartialResultError
 from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
@@ -67,7 +67,6 @@ class Spectrum:
 
     amplitude: np.ndarray
     captured_mass: float
-    epsilon: float
 
     def __post_init__(self):
         self.amplitude.setflags(write=False)
@@ -230,8 +229,8 @@ def spectrum1d(t: Transition1D, epsilon: float = 1e-8, cap: int = MODE_INDEX_CAP
 
     Raises
     ------
-    PartialSpectrumError
-        The cap was hit first; the partial spectrum rides on the error.
+    PartialResultError
+        The cap was hit first; the partial spectrum is its ``result``.
     NumericOverflowError
         The table overflowed, or the row's mass passed 1 + 1e-10.
     """
@@ -253,12 +252,12 @@ def spectrum1d(t: Transition1D, epsilon: float = 1e-8, cap: int = MODE_INDEX_CAP
         m_new = min(cap, m_new + m_new // 2)
 
     cutoff = min(hit, cap)
-    spectrum = Spectrum(amplitude[: cutoff + 1], float(cumulative[cutoff]), epsilon)
+    spectrum = Spectrum(amplitude[: cutoff + 1], float(cumulative[cutoff]))
     if hit > cap:
-        raise PartialSpectrumError(
+        raise PartialResultError(
             f"captured mass {spectrum.captured_mass:.12g} < {target_mass:.12g} "
             f"at the hard cap {cap}",
-            spectrum=spectrum,
+            spectrum,
         )
     return spectrum
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling1d import Transition1D, _exact_rule, _first_extent, quad_order_for
-from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialTensorError
+from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialResultError
 from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
@@ -143,12 +143,11 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
 
 @dataclass(frozen=True, eq=False)
 class CouplingTensor:
-    """Amplitudes over final index pairs for one fixed initial pair."""
+    """Amplitudes over final index pairs for one fixed initial pair;
+    ``captured_mass`` is the sum of their squares."""
 
     values: np.ndarray
     captured_mass: float
-    initial: tuple
-    epsilon: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -187,13 +186,13 @@ def _channel_frames(w: Waveguide2D):
     )
 
 
-def _grow_rectangle(evaluate, finish, step, cap, epsilon, initial, at_cap):
+def _grow_rectangle(evaluate, finish, step, cap, epsilon, at_cap):
     """Grow the index rectangle ``tops`` from ``min(step, cap)`` per side
     until ``evaluate(tops) -> (state, mass, tails)`` reaches 1 - epsilon;
     the side with the larger tail (side 0 on ties) grows by ``step``, the
     other once it is at ``cap``.  The tensor of the last state's values,
-    ``finish(state)``, is built once: returned, or raised on a
-    PartialTensorError that ends ``at_cap`` where the mass falls short."""
+    ``finish(state)``, is built once: returned, or raised as the ``result``
+    of a PartialResultError that ends ``at_cap`` where the mass falls short."""
     target_mass = 1.0 - epsilon
     tops = [min(step, cap)] * 2
     while True:
@@ -204,10 +203,10 @@ def _grow_rectangle(evaluate, finish, step, cap, epsilon, initial, at_cap):
         if mass >= target_mass or tops[side] >= cap:
             break
         tops[side] = min(tops[side] + step, cap)
-    tensor = CouplingTensor(finish(state), mass, initial, epsilon)
+    tensor = CouplingTensor(finish(state), mass)
     if not mass >= target_mass:
-        raise PartialTensorError(
-            f"captured mass {mass:.12g} < {target_mass:.12g} {at_cap}", tensor=tensor
+        raise PartialResultError(
+            f"captured mass {mass:.12g} < {target_mass:.12g} {at_cap}", tensor
         )
     return tensor
 
@@ -254,7 +253,7 @@ def spectrum2d_separable(
         return amps, masses[0] * masses[1], (1.0 - masses[0], 1.0 - masses[1])
 
     return _grow_rectangle(
-        evaluate, lambda amps: np.outer(*amps), 32, cap, epsilon, (n_x, n_y),
+        evaluate, lambda amps: np.outer(*amps), 32, cap, epsilon,
         f"with both channels at the hard cap {cap}",
     )
 
@@ -494,8 +493,7 @@ def coupled_tensor(
         return values, mass, tails
 
     return _grow_rectangle(
-        evaluate, np.copy, step, cap, epsilon, (n_x, n_y),
-        f"with the rectangle at the cap {cap}",
+        evaluate, np.copy, step, cap, epsilon, f"with the rectangle at the cap {cap}"
     )
 
 

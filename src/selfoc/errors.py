@@ -27,28 +27,11 @@ class ConvergenceError(RuntimeError):
         self.node_index = node_index
 
 
-class PartialSpectrumError(RuntimeError):
-    """Spectrum hit the index cap before reaching the target mass.
+class PartialResultError(RuntimeError):
+    """A spectrum or tensor hit the index cap before reaching the target
+    mass; ``result`` is the partial ``Spectrum`` or ``CouplingTensor``, so
+    callers can still inspect or emit it."""
 
-    Carries the partial result so callers can still inspect or emit it.
-    """
-
-    def __init__(self, message: str, spectrum=None):
+    def __init__(self, message: str, result=None):
         super().__init__(message)
-        self.spectrum = spectrum
-
-    @property
-    def captured_mass(self):
-        return None if self.spectrum is None else self.spectrum.captured_mass
-
-
-class PartialTensorError(RuntimeError):
-    """2D tensor hit the index cap before reaching the target mass."""
-
-    def __init__(self, message: str, tensor=None):
-        super().__init__(message)
-        self.tensor = tensor
-
-    @property
-    def captured_mass(self):
-        return None if self.tensor is None else self.tensor.captured_mass
+        self.result = result

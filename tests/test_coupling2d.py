@@ -18,7 +18,7 @@ from selfoc import (
     NotPositiveDefiniteError,
     NumericOverflowError,
     OscillatorFrame,
-    PartialTensorError,
+    PartialResultError,
     Transition1D,
     Waveguide2D,
     coupled_tensor,
@@ -209,10 +209,9 @@ class TestSpectrum2DSeparable:
 
     def test_partial_tensor(self):
         src, tgt = separable_pair()
-        with pytest.raises(PartialTensorError) as info:
+        with pytest.raises(PartialResultError) as info:
             spectrum2d_separable(src, tgt, 0, 0, cap=4)
-        assert info.value.tensor.captured_mass < 1.0 - 1e-8
-        assert info.value.captured_mass == info.value.tensor.captured_mass
+        assert info.value.result.captured_mass < 1.0 - 1e-8
 
 
 class TestOverlapCoupled:
@@ -345,7 +344,7 @@ class TestOverlapCoupled:
                     amp = np.abs(call())
                     assert np.isfinite(amp).all() and amp.max() <= 1.0 + 1e-10
                     answered += 1
-                except (NumericOverflowError, NotPositiveDefiniteError, PartialTensorError):
+                except (NumericOverflowError, NotPositiveDefiniteError, PartialResultError):
                     pass
         assert answered > 0
 
@@ -378,7 +377,7 @@ class TestOverlapCoupled:
         def outcome(source, target, n_x, n_y):
             try:
                 tensor = coupled_tensor(Waveguide2D(*source), Waveguide2D(*target), n_x, n_y, 1e-6, 8)
-            except (NumericOverflowError, PartialTensorError) as err:
+            except (NumericOverflowError, PartialResultError) as err:
                 return type(err), str(err)
             return tensor.values.tobytes(), tensor.captured_mass
 
@@ -608,9 +607,9 @@ class TestCoupledTensor:
             (Waveguide2D(2.0, 3.0, 1.5, (2.0, 3.0)), 1e-6, 2),
         ]
         for tgt, epsilon, cap in cases:
-            with pytest.raises(PartialTensorError) as info:
+            with pytest.raises(PartialResultError) as info:
                 coupled_tensor(src, tgt, 0, 0, epsilon=epsilon, cap=cap)
-            assert info.value.tensor.values.shape == (cap + 1, cap + 1)
+            assert info.value.result.values.shape == (cap + 1, cap + 1)
 
     @pytest.mark.parametrize(
         "source,target,n_x,n_y,mass",
@@ -652,9 +651,9 @@ class TestCoupledTensor:
         # found in the (x, y) frame cancelled and these rectangles came back
         # overfull (mass 1.2578 and inf); solved in the sheared frame they
         # are partial tensors whose ground entry is the closed form's
-        with pytest.raises(PartialTensorError) as info:
+        with pytest.raises(PartialResultError) as info:
             coupled_tensor(source, target, 0, 0, cap=16)
-        got = info.value.tensor.values[0, 0]
+        got = info.value.result.values[0, 0]
         assert got == pytest.approx(_ground_overlap_mp(source, target), rel=1e-10, abs=0.0)
 
     def test_matches_separable_when_uncoupled(self):
@@ -751,8 +750,6 @@ class TestSchmidtReport:
         ten = CouplingTensor(
             values=np.array([[0.0, 0.0], [0.0, 1.0]]),
             captured_mass=1.0,
-            initial=(0, 0),
-            epsilon=1e-8,
         )
         report = schmidt_report(ten)
         assert report.singular_values[0] == pytest.approx(1.0, abs=1e-15)
@@ -762,8 +759,6 @@ class TestSchmidtReport:
         ten = CouplingTensor(
             values=np.diag([math.sqrt(0.5), math.sqrt(0.5)]),
             captured_mass=1.0,
-            initial=(0, 0),
-            epsilon=1e-8,
         )
         report = schmidt_report(ten)
         assert report.entropy == pytest.approx(math.log(2.0), rel=1e-12)
@@ -785,16 +780,12 @@ class TestSchmidtReport:
         assert schmidt_report(coupled_tensor(src, bent, 0, 0, 1e-6)).entropy > 1e-10
 
     def test_empty_tensor_rejected(self):
-        ten = CouplingTensor(
-            values=np.zeros((2, 2)), captured_mass=0.0, initial=(0, 0), epsilon=1e-8
-        )
+        ten = CouplingTensor(values=np.zeros((2, 2)), captured_mass=0.0)
         with pytest.raises(ValueError):
             schmidt_report(ten)
 
     def test_zero_size_tensor_rejected(self):
-        ten = CouplingTensor(
-            values=np.zeros((0, 3)), captured_mass=1.0, initial=(0, 0), epsilon=1e-8
-        )
+        ten = CouplingTensor(values=np.zeros((0, 3)), captured_mass=1.0)
         with pytest.raises(ValueError, match="empty coupling tensor"):
             schmidt_report(ten)
 
@@ -888,8 +879,8 @@ def grow(fn, label):
     source, target, n_x, n_y, epsilon, cap = PINNED_REQUESTS[label]
     try:
         return fn(source, target, n_x, n_y, epsilon, cap), None
-    except PartialTensorError as err:
-        return err.tensor, str(err)
+    except PartialResultError as err:
+        return err.result, str(err)
 
 
 def separable_digest(tensor, message):
@@ -988,8 +979,8 @@ class TestCoupledReplay:
         del calls[:]
         try:
             tensor, partial = coupled_tensor(*request_), False
-        except PartialTensorError as err:
-            tensor, partial = err.tensor, True
+        except PartialResultError as err:
+            tensor, partial = err.result, True
         assert tensor.values.shape == want.shape
         assert partial == want_partial
         np.testing.assert_allclose(tensor.values, want, rtol=1e-12, atol=1e-13)
@@ -1111,8 +1102,8 @@ def separable_result(request_):
     """spectrum2d_separable as (values, mass, partial)."""
     try:
         tensor, partial = spectrum2d_separable(*request_), False
-    except PartialTensorError as err:
-        tensor, partial = err.tensor, True
+    except PartialResultError as err:
+        tensor, partial = err.result, True
     return tensor.values, tensor.captured_mass, partial
 
 

@@ -16,8 +16,7 @@ PUBLIC = [
     "NumericOverflowError",
     "OscillatorFrame",
     "OverlapKernel",
-    "PartialSpectrumError",
-    "PartialTensorError",
+    "PartialResultError",
     "QuadratureRule",
     "SchmidtReport",
     "Spectrum",
