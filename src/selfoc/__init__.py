@@ -19,7 +19,6 @@ from .coupling1d import (
     fc_candidates,
     fc_estimate,
     overlap_closed,
-    overlap_quad,
     spectrum1d,
 )
 from .coupling2d import (
@@ -30,6 +29,7 @@ from .coupling2d import (
     coupled_tensor,
     normal_modes,
     overlap_coupled,
+    overlap_quad,
     schmidt_report,
     spectrum2d_separable,
 )
@@ -49,7 +49,7 @@ from .hermite import (
     oscillator_psi,
     scaled_hermite_table,
 )
-from .quadrature import QuadratureRule, gauss_hermite, integrate
+from .quadrature import QuadratureRule, gauss_hermite
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "fc_estimate",
     "gauss_hermite",
     "hermite_scaled",
-    "integrate",
     "normal_modes",
     "oscillator_psi",
     "overlap_closed",

@@ -1,15 +1,10 @@
 """Planar (1D) mode-connection coefficients between two quadratic channels.
 
-Two independent routes to every amplitude <n|n'>:
-
-* ``overlap_closed`` -- prefactor times a scaled two-index Hermite table
-  entry (closed form);
-* ``overlap_quad``   -- Gauss-Hermite quadrature of the product of the
-  two eigenfunctions after completing the square of the combined
-  Gaussian (the oracle).
-
-Spectra, the coupling matrix, and the semiclassical vertical-transition
-estimate build on the closed-form route.
+The closed-form route lives here: ``overlap_closed`` is the prefactor
+times a scaled two-index Hermite table entry.  Spectra, the coupling
+matrix, and the semiclassical vertical-transition estimate build on it.
+The independent quadrature oracle is :func:`selfoc.coupling2d.overlap_quad`,
+the coupled block's one-axis case.
 """
 
 from __future__ import annotations
@@ -28,9 +23,8 @@ from .hermite import (
     _TableBuilder,
     build_kernel,
     check_mode_index,
-    hermite_scaled,
 )
-from .quadrature import MAX_ORDER, gauss_hermite, integrate
+from .quadrature import MAX_ORDER, gauss_hermite
 
 #: Entry budget of :func:`spectrum1d`'s first fill (n + 1 rows times
 #: columns, 1 MiB of double-double values); see ``_first_extent``.
@@ -121,10 +115,9 @@ def overlap_closed(t: Transition1D, n_prime: int) -> float:
 
 def quad_order_for(n: int, n_prime: int) -> int:
     """Gauss-Hermite node count for a polynomial of degree n + n' times
-    exp(-t^2), the oracle's integrand after the change of variables and
-    each node axis of the coupled block: N nodes integrate every degree up
-    to 2N - 1 exactly (Golub & Welsch 1969), so (n + n') // 2 + 1 nodes
-    are exact and one fewer is not."""
+    exp(-t^2), each node axis of the coupled block: N nodes integrate every
+    degree up to 2N - 1 exactly (Golub & Welsch 1969), so (n + n') // 2 + 1
+    nodes are exact and one fewer is not."""
     return (n + n_prime) // 2 + 1
 
 
@@ -138,45 +131,6 @@ def _exact_rule(n: int, n_prime: int, what: str, advice: str = ""):
             f"{what} needs a quadrature order of {order}, past {MAX_ORDER}{advice}"
         )
     return gauss_hermite(order)
-
-
-def overlap_quad(t: Transition1D, n_prime: int) -> float:
-    """Quadrature amplitude <n|n'>: the independent oracle route.
-
-    Completes the square of the product Gaussian (center
-    ``d l^2/(l^2+l'^2)`` past the source center, sigma
-    ``l l'/sqrt(l^2+l'^2)``) and integrates the remaining polynomial
-    against the rule's own Gaussian weight.  A pair whose exact rule would
-    pass ``MAX_ORDER`` nodes is refused with CapExceededError.
-    """
-    n_prime = check_mode_index(n_prime, "n_prime")
-    rule = _exact_rule(t.n, n_prime, f"the quadrature overlap <{t.n}|{n_prime}>")
-    l = t.source.omega ** -0.5
-    lp = t.target.omega ** -0.5
-    big_l = l * l + lp * lp
-    d = t.d
-    shift = t.source.center + d * l * l / big_l
-    scale = math.sqrt(2.0) * l * lp / math.sqrt(big_l)
-    const = (
-        math.pi ** -0.5
-        * (l * lp) ** -0.5
-        * math.exp(-d * d / (2.0 * big_l))
-    )
-
-    def poly_part(x):
-        xi_s = (x - t.source.center) / l
-        xi_t = (x - t.target.center) / lp
-        return const * hermite_scaled(t.n, xi_s) * hermite_scaled(n_prime, xi_t)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = integrate(rule, poly_part, shift=shift, scale=scale)
-    if not math.isfinite(value):
-        raise NumericOverflowError(
-            f"quadrature overlap <{t.n}|{n_prime}> is not finite: the scaled "
-            "Hermite values overflow outside the classical region",
-            index=(t.n, n_prime),
-        )
-    return value
 
 
 def _n_prime_moments(t: Transition1D) -> tuple:

@@ -1,6 +1,8 @@
 """Elliptic (2D) transitions: separable products, cross-coupled targets
 via normal-mode rotation plus tensor quadrature, and the Schmidt-entropy
-report quantifying inter-channel correlation of the arriving field.
+report quantifying inter-channel correlation of the arriving field.  The
+tensor quadrature is the package's one quadrature route: the 1D oracle
+``overlap_quad`` is its one-axis case.
 
 The potential convention is U = (wx^2 x^2 + wy^2 y^2 + gamma x y) / 2,
 i.e. frequencies enter squared as curvatures, matching the 1D channels,
@@ -381,6 +383,32 @@ def overlap_coupled(
     with np.errstate(over="ignore"):
         _refuse_overfull(np.vdot(block, block), f"the coupled block up to ({n1_prime}, {n2_prime})")
     return float(block[n1_prime, n2_prime])
+
+
+def overlap_quad(t: Transition1D, n_prime: int) -> float:
+    """Quadrature amplitude <n|n'>: the independent oracle route.
+
+    The coupled block's one-axis case: each channel of ``t`` is the x axis
+    of an uncoupled profile whose y axis (frequency 1, centre 0) is the same
+    on both sides, so the block up to (n', 0) is the column <n|0..n'>.  As
+    :func:`overlap_coupled` refuses its block, the column is refused with
+    NumericOverflowError where an entry is not finite or its mass passes
+    1 + 1e-10.  A pair whose exact rule would pass ``MAX_ORDER`` nodes is
+    refused with CapExceededError before any rule is built.
+    """
+    n_prime = check_mode_index(n_prime, "n_prime")
+    _exact_rule(t.n, n_prime, f"the quadrature overlap <{t.n}|{n_prime}>")
+    source, target = (Waveguide2D(f.omega, 1.0, 0.0, (f.center, 0.0)) for f in (t.source, t.target))
+    column = _coupled_block(_pair(source, target), t.n, 0, n_prime, 0)[:, 0]
+    if not np.isfinite(column).all():
+        raise NumericOverflowError(
+            f"quadrature overlap <{t.n}|{n_prime}> is not finite: the scaled "
+            "Hermite values overflow outside the classical region",
+            index=(t.n, n_prime),
+        )
+    with np.errstate(over="ignore"):
+        _refuse_overfull(np.dot(column, column), f"the quadrature column <{t.n}|0..{n_prime}>")
+    return float(column[n_prime])
 
 
 def _target_mode_moments(pair: tuple, n_x: int, n_y: int) -> list:

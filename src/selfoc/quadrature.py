@@ -76,7 +76,6 @@ def _mirror(half: np.ndarray, order: int, sign: float = 1.0) -> np.ndarray:
 class QuadratureRule:
     """Gauss-Hermite nodes (ascending) and weights for one order."""
 
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -145,19 +144,4 @@ def gauss_hermite(order: int) -> QuadratureRule:
         raise ConvergenceError(
             f"order-{order} rule failed the total-weight check: {total!r}"
         )
-    return QuadratureRule(order=order, nodes=nodes, weights=w)
-
-
-def integrate(rule: QuadratureRule, f, shift: float = 0.0, scale: float = 1.0) -> float:
-    """Integrate f(x) * exp(-((x - shift)/scale)**2) over the real line.
-
-    Substitutes x = shift + scale*t (dx = scale dt), so the rule's weights
-    supply the Gaussian factor and ``f`` must be the integrand with that
-    Gaussian divided out.  ``f`` is called once with the full node array.
-    """
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    if not math.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift}")
-    x = shift + scale * rule.nodes
-    return float(scale * np.dot(rule.weights, f(x)))
+    return QuadratureRule(nodes=nodes, weights=w)

@@ -25,6 +25,7 @@ from selfoc import (
     normal_modes,
     overlap_closed,
     overlap_coupled,
+    overlap_quad,
     schmidt_report,
     spectrum1d,
     spectrum2d_separable,
@@ -697,9 +698,24 @@ def _ground_fuzz():
     return np.array(got), np.array(want)
 
 
+def _fuzz_transitions(rng, count, freqs, shift, top, top_prime):
+    """``count`` seeded 1D (transition, n') pairs: both frequencies
+    log-uniform in ``freqs``, the target centre ``shift(rng, count)``, n up
+    to ``top`` and n' up to ``top_prime``."""
+    w = np.exp(rng.uniform(*np.log(freqs), size=(count, 2)))
+    d = shift(rng, count)
+    n = rng.integers(0, top + 1, size=count).tolist()
+    n_prime = rng.integers(0, top_prime + 1, size=count).tolist()
+    return [
+        (Transition1D(OscillatorFrame(ws), OscillatorFrame(wt, dt), k), m)
+        for (ws, wt), dt, k, m in zip(w.tolist(), d.tolist(), n, n_prime)
+    ]
+
+
 class TestRightOrRefusedFuzz:
-    """Seeded profile pairs on the coupled path: each answer is right, or the
-    request is refused with a typed error (numpy warnings are errors here)."""
+    """Seeded profile pairs on the coupled path and its one-axis case, the 1D
+    quadrature oracle: each answer is right, or the request is refused with a
+    typed error (numpy warnings are errors here)."""
 
     def test_ground_amplitude_matches_closed_form(self):
         # a fifth of the closed forms underflow to 0, and so do their
@@ -737,6 +753,49 @@ class TestRightOrRefusedFuzz:
             assert abs(amp) <= 1.0 + 1e-10, (args, n_x, n_y, amp)
             answered.append(True)
         assert all(answered[:800])
+
+    def test_1d_quadrature_matches_closed_form(self):
+        # n <= 12 stays below the closed form's drift band (ROADMAP item 1)
+        pairs = _fuzz_transitions(
+            np.random.default_rng(11), 400, (0.2, 5.0),
+            lambda rng, k: rng.uniform(-20.0, 20.0, k), 12, 199,
+        )
+        for t, m in pairs:
+            got, want = overlap_quad(t, m), overlap_closed(t, m)
+            assert abs(got - want) <= max(1e-13, 1e-10 * abs(want)), (t, m, got, want)
+
+    def test_1d_quadrature_answered_within_bessel_or_refused(self):
+        # frequencies 1e-150..1e150 and shifts up to 1e200: about half are
+        # refused; the answers are not compared with the closed form, which
+        # can differ from them past frequency ratios of about 1e39 (ROADMAP
+        # items 2 and 11)
+        pairs = _fuzz_transitions(
+            np.random.default_rng(12), 400, (1e-150, 1e150),
+            _far_centres, 8, 8,
+        )
+        answered = 0
+        for t, m in pairs:
+            try:
+                amp = overlap_quad(t, m)
+            except NumericOverflowError:
+                continue
+            assert type(amp) is float and math.isfinite(amp), (t, m, amp)
+            assert abs(amp) <= 1.0 + 1e-10, (t, m, amp)
+            answered += 1
+        assert 0 < answered < len(pairs)
+
+    @pytest.mark.parametrize(
+        "w,wp,d,n,n_prime",
+        [
+            # regressions: each once came back with |amp| past 1e21
+            (3.8326345123101405e-110, 14150541376.63748, 1.9371900722159692e21, 2, 8),
+            (1.2166696748879556e-138, 2.591915645179487e87, 0.28716511955983715, 6, 8),
+            (1.8067457186439108e-138, 1457106203720555.0, 4.056158209391492e68, 2, 1),
+        ],
+    )
+    def test_1d_quadrature_extreme_pins(self, w, wp, d, n, n_prime):
+        t = Transition1D(OscillatorFrame(w), OscillatorFrame(wp, d), n)
+        assert abs(overlap_quad(t, n_prime) - overlap_closed(t, n_prime)) <= 1e-13
 
 
 class TestSchmidtReport:

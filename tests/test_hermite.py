@@ -14,7 +14,6 @@ from selfoc import (
     build_kernel,
     gauss_hermite,
     hermite_scaled,
-    integrate,
     oscillator_psi,
     scaled_hermite_table,
 )
@@ -170,13 +169,12 @@ class TestOscillatorPsi:
         l = frame.length
         rule = gauss_hermite(n + 9)
         # psi^2 = (polynomial part)^2 * exp(-(x/l)^2): integrate the
-        # polynomial part against the rule's own Gaussian
-        norm = integrate(
-            rule,
-            lambda x: (math.pi ** -0.5 / l) * hermite_scaled(n, x / l) ** 2,
-            shift=0.0,
-            scale=l,
-        )
+        # polynomial part against the rule's own Gaussian, x = l t
+
+        def poly_part(x):
+            return (math.pi ** -0.5 / l) * hermite_scaled(n, x / l) ** 2
+
+        norm = l * rule.weights @ poly_part(l * rule.nodes)
         assert norm == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize(

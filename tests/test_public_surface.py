@@ -29,7 +29,6 @@ PUBLIC = [
     "fc_estimate",
     "gauss_hermite",
     "hermite_scaled",
-    "integrate",
     "normal_modes",
     "oscillator_psi",
     "overlap_closed",

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfoc import QuadratureRule, gauss_hermite, integrate
+from selfoc import QuadratureRule, gauss_hermite
 from selfoc.hermite import _ladder
 from selfoc.quadrature import _initial_nodes, _scaled_pass
 
@@ -220,42 +220,9 @@ class TestExactness:
         def smooth(x):
             return 1.0 + 0.3 * x + 0.5 * x**2 - 0.1 * x**5 + 0.02 * x**6
 
-        results = [integrate(gauss_hermite(k), smooth) for k in (8, 16, 24)]
+        results = [float(r.weights @ smooth(r.nodes)) for r in map(gauss_hermite, (8, 16, 24))]
         assert results[0] == pytest.approx(results[1], rel=1e-12)
         assert results[1] == pytest.approx(results[2], rel=1e-12)
-
-
-class TestIntegrate:
-    def test_total_weight(self):
-        assert integrate(gauss_hermite(6), lambda x: np.ones_like(x)) == pytest.approx(
-            SQRT_PI, rel=1e-14
-        )
-
-    def test_second_moment(self):
-        assert integrate(gauss_hermite(6), lambda x: x**2) == pytest.approx(
-            SQRT_PI / 2, rel=1e-13
-        )
-
-    @pytest.mark.parametrize("mu", [-2.0, 0.5, 3.25])
-    def test_shifted_first_moment(self, mu):
-        value = integrate(gauss_hermite(8), lambda x: x, shift=mu)
-        assert value == pytest.approx(mu * SQRT_PI, rel=1e-13, abs=1e-14)
-
-    def test_scale_substitution(self):
-        # integral of x^2 exp(-(x/s)^2) = s^3 sqrt(pi)/2
-        s = 1.7
-        value = integrate(gauss_hermite(8), lambda x: x**2, shift=0.0, scale=s)
-        assert value == pytest.approx(s**3 * SQRT_PI / 2, rel=1e-13)
-
-    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
-    def test_bad_scale(self, scale):
-        with pytest.raises(ValueError, match="scale must be positive and finite"):
-            integrate(gauss_hermite(4), lambda x: x, scale=scale)
-
-    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
-    def test_bad_shift(self, shift):
-        with pytest.raises(ValueError, match="shift must be finite"):
-            integrate(gauss_hermite(10), lambda x: x, shift=shift)
 
 
 def test_rules_are_cached_and_shared():
@@ -264,7 +231,7 @@ def test_rules_are_cached_and_shared():
 
 def test_dataclass_roundtrip():
     rule = gauss_hermite(3)
-    clone = QuadratureRule(order=rule.order, nodes=rule.nodes.copy(), weights=rule.weights.copy())
+    clone = QuadratureRule(nodes=rule.nodes.copy(), weights=rule.weights.copy())
     assert np.array_equal(clone.nodes, rule.nodes)
 
 
