@@ -1,10 +1,11 @@
 """Planar (1D) mode-connection coefficients between two quadratic channels.
 
-The closed-form route lives here: ``overlap_closed`` is the prefactor
-times a scaled two-index Hermite table entry.  Spectra, the coupling
-matrix, and the semiclassical vertical-transition estimate build on it.
-The independent quadrature oracle is :func:`selfoc.coupling2d.overlap_quad`,
-the coupled block's one-axis case.
+The closed-form route lives here, and no quadrature: ``overlap_closed`` is
+the prefactor times a scaled two-index Hermite table entry.  Spectra, the
+coupling matrix, and the semiclassical vertical-transition estimate build
+on it; every row read from the table is refused where its mass passes
+1 + 1e-10.  The independent quadrature oracle is
+:func:`selfoc.coupling2d.overlap_quad`, a one-axis call of the coupled path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .hermite import (
     build_kernel,
     check_mode_index,
 )
-from .quadrature import MAX_ORDER, gauss_hermite
 
 #: Entry budget of :func:`spectrum1d`'s first fill (n + 1 rows times
 #: columns, 1 MiB of double-double values); see ``_first_extent``.
@@ -106,31 +106,15 @@ class CouplingMatrix:
 
 
 def overlap_closed(t: Transition1D, n_prime: int) -> float:
-    """Closed-form amplitude <n|n'> for the transition."""
+    """Closed-form amplitude <n|n'> for the transition; NumericOverflowError
+    where its row <n|0..n'> carries mass past 1 + 1e-10."""
     n_prime = check_mode_index(n_prime, "n_prime")
     builder = _TableBuilder(build_kernel(t.source, t.target), t.n)
     builder.extend(n_prime)
-    return float(builder.amplitude[n_prime])
-
-
-def quad_order_for(n: int, n_prime: int) -> int:
-    """Gauss-Hermite node count for a polynomial of degree n + n' times
-    exp(-t^2), each node axis of the coupled block: N nodes integrate every
-    degree up to 2N - 1 exactly (Golub & Welsch 1969), so (n + n') // 2 + 1
-    nodes are exact and one fewer is not."""
-    return (n + n_prime) // 2 + 1
-
-
-def _exact_rule(n: int, n_prime: int, what: str, advice: str = ""):
-    """The rule of ``quad_order_for(n, n_prime)`` nodes for ``what``; an
-    order past ``MAX_ORDER`` is refused with CapExceededError, naming
-    ``what`` and the order, before any rule is built."""
-    order = quad_order_for(n, n_prime)
-    if order > MAX_ORDER:
-        raise CapExceededError(
-            f"{what} needs a quadrature order of {order}, past {MAX_ORDER}{advice}"
-        )
-    return gauss_hermite(order)
+    row = builder.amplitude
+    with np.errstate(over="ignore"):
+        _refuse_overfull(np.dot(row, row), f"the closed-form row <{t.n}|0..{n_prime}>")
+    return float(row[n_prime])
 
 
 def _n_prime_moments(t: Transition1D) -> tuple:

@@ -2,7 +2,7 @@
 via normal-mode rotation plus tensor quadrature, and the Schmidt-entropy
 report quantifying inter-channel correlation of the arriving field.  The
 tensor quadrature is the package's one quadrature route: the 1D oracle
-``overlap_quad`` is its one-axis case.
+``overlap_quad`` is one call of ``overlap_coupled``, on one-axis profiles.
 
 The potential convention is U = (wx^2 x^2 + wy^2 y^2 + gamma x y) / 2,
 i.e. frequencies enter squared as curvatures, matching the 1D channels,
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling1d import Transition1D, _exact_rule, _first_extent, quad_order_for
-from .errors import NotPositiveDefiniteError, NumericOverflowError, PartialResultError
+from .coupling1d import Transition1D, _first_extent
+from .errors import CapExceededError, NotPositiveDefiniteError, NumericOverflowError, PartialResultError
 from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
@@ -28,7 +28,7 @@ from .hermite import (
     check_mode_index,
     hermite_scaled,
 )
-from .quadrature import gauss_hermite
+from .quadrature import MAX_ORDER, gauss_hermite
 
 #: Default rectangle edge cap of the coupled (quadrature) path, kept well
 #: below MODE_INDEX_CAP since a block's cost rises with the cube of the edge.
@@ -273,6 +273,14 @@ def _pair(source: Waveguide2D, target: Waveguide2D) -> tuple:
     return nm_s.frequencies, nm_t.frequencies, g, p
 
 
+def quad_order_for(n: int, n_prime: int) -> int:
+    """Gauss-Hermite node count for a polynomial of degree n + n' times
+    exp(-t^2), each node axis of the coupled block: N nodes integrate every
+    degree up to 2N - 1 exactly (Golub & Welsch 1969), so (n + n') // 2 + 1
+    nodes are exact and one fewer is not."""
+    return (n + n_prime) // 2 + 1
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _coupled_block(pair: tuple, n_x: int, n_y: int, top1: int, top2: int) -> np.ndarray:
     """Amplitudes <(n_x, n_y) | (k1, k2)'> for k1 <= top1, k2 <= top2.
@@ -301,10 +309,13 @@ def _coupled_block(pair: tuple, n_x: int, n_y: int, top1: int, top2: int) -> np.
     the block NaN.  An order past ``MAX_ORDER`` raises CapExceededError
     before anything is built.
     """
-    rule = _exact_rule(
-        n_x + n_y, top1 + top2, f"the coupled block up to ({top1}, {top2})",
-        "; lower the cap (--cap)",
-    )
+    order = quad_order_for(n_x + n_y, top1 + top2)
+    if order > MAX_ORDER:
+        raise CapExceededError(
+            f"the coupled block up to ({top1}, {top2}) needs a quadrature order "
+            f"of {order}, past {MAX_ORDER}; lower the cap (--cap)"
+        )
+    rule = gauss_hermite(order)
     w_s, w_t, g, p = pair
     tops, n_src = (top1, top2), (n_x, n_y)
     j, o = (0, 1) if top1 >= top2 else (1, 0)
@@ -354,7 +365,8 @@ def _refuse_nonfinite(block: np.ndarray):
     if not np.isfinite(block).all():
         top1, top2 = (k - 1 for k in block.shape)
         raise NumericOverflowError(
-            f"coupled amplitude block up to ({top1}, {top2}) is not finite"
+            f"coupled amplitude block up to ({top1}, {top2}) is not finite",
+            index=(top1, top2),
         )
 
 
@@ -390,25 +402,12 @@ def overlap_quad(t: Transition1D, n_prime: int) -> float:
 
     The coupled block's one-axis case: each channel of ``t`` is the x axis
     of an uncoupled profile whose y axis (frequency 1, centre 0) is the same
-    on both sides, so the block up to (n', 0) is the column <n|0..n'>.  As
-    :func:`overlap_coupled` refuses its block, the column is refused with
-    NumericOverflowError where an entry is not finite or its mass passes
-    1 + 1e-10.  A pair whose exact rule would pass ``MAX_ORDER`` nodes is
-    refused with CapExceededError before any rule is built.
+    on both sides, and the amplitude is :func:`overlap_coupled`'s
+    <(n, 0)|(n', 0)>, refused as it refuses, in its terms: the block up to
+    (n', 0) is the column <n|0..n'>, and ``n_prime`` is its ``n1_prime``.
     """
-    n_prime = check_mode_index(n_prime, "n_prime")
-    _exact_rule(t.n, n_prime, f"the quadrature overlap <{t.n}|{n_prime}>")
     source, target = (Waveguide2D(f.omega, 1.0, 0.0, (f.center, 0.0)) for f in (t.source, t.target))
-    column = _coupled_block(_pair(source, target), t.n, 0, n_prime, 0)[:, 0]
-    if not np.isfinite(column).all():
-        raise NumericOverflowError(
-            f"quadrature overlap <{t.n}|{n_prime}> is not finite: the scaled "
-            "Hermite values overflow outside the classical region",
-            index=(t.n, n_prime),
-        )
-    with np.errstate(over="ignore"):
-        _refuse_overfull(np.dot(column, column), f"the quadrature column <{t.n}|0..{n_prime}>")
-    return float(column[n_prime])
+    return overlap_coupled(source, target, t.n, 0, n_prime, 0)
 
 
 def _target_mode_moments(pair: tuple, n_x: int, n_y: int) -> list:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import selfoc.coupling1d as coupling1d
+import selfoc.coupling2d as coupling2d
 from selfoc import (
     MODE_INDEX_CAP,
     CapExceededError,
@@ -18,7 +18,8 @@ from selfoc import (
     overlap_quad,
     spectrum1d,
 )
-from selfoc.coupling1d import _FIRST_FILL_ENTRIES, _first_extent, _n_prime_moments, quad_order_for
+from selfoc.coupling1d import _FIRST_FILL_ENTRIES, _first_extent, _n_prime_moments
+from selfoc.coupling2d import quad_order_for
 from selfoc.hermite import _TableBuilder, build_kernel
 from selfoc.quadrature import gauss_hermite
 
@@ -57,6 +58,17 @@ class TestOverlapClosed:
         # on the side where the source Gaussian lives
         assert overlap_closed(transition(1.0, 1.0, 1.0, 0), 1) < 0.0
 
+    @pytest.mark.parametrize("n,n_prime", [(140, 300), (200, 396), (250, 200)])
+    def test_overfull_row_refused(self, n, n_prime):
+        # ratio 3, D 3: past n of about 140 the table's rows drift, and these
+        # came back as -1.36, 6.21e11 and -3.1e4; no row of true overlaps
+        # carries mass past 1
+        with pytest.raises(NumericOverflowError, match=rf"closed-form row <{n}\|0..{n_prime}> carries mass"):
+            overlap_closed(transition(1.0, 3.0, 3.0, n), n_prime)
+
+    def test_drift_band_within_unit_mass_answered(self):
+        assert abs(overlap_closed(transition(1.0, 3.0, 3.0, 140), 200)) <= 1.0
+
 
 class TestDualPath:
     def test_heavy_shift_peak_entry(self):
@@ -69,15 +81,15 @@ class TestDualPath:
         t = transition(1.0, 2.0, 30.0, 40)
         with pytest.raises(NumericOverflowError) as info:
             overlap_quad(t, 542)
-        assert info.value.index == (40, 542)
+        assert info.value.index == (542, 0)
 
     def test_quad_order_past_max_refused_before_building(self, monkeypatch):
         def no_rule(order):
             raise AssertionError(f"a rule of order {order} was built")
 
-        monkeypatch.setattr(coupling1d, "gauss_hermite", no_rule)
+        monkeypatch.setattr(coupling2d, "gauss_hermite", no_rule)
         t = Transition1D(OscillatorFrame(1.0), OscillatorFrame(3.0, 1.0), 2100)
-        with pytest.raises(CapExceededError, match=r"<2100\|2100> .* order of 2101, past 2048"):
+        with pytest.raises(CapExceededError, match=r"\(2100, 0\) .* order of 2101, past 2048"):
             overlap_quad(t, 2100)
 
     @pytest.mark.parametrize("n,n_prime", [(1, 1), (1, 2), (2, 5), (7, 4), (20, 31), (30, 30)])

@@ -22,6 +22,7 @@ from selfoc import (
     Transition1D,
     Waveguide2D,
     coupled_tensor,
+    coupling_matrix,
     normal_modes,
     overlap_closed,
     overlap_coupled,
@@ -30,8 +31,8 @@ from selfoc import (
     spectrum1d,
     spectrum2d_separable,
 )
-from selfoc.coupling1d import _n_prime_moments, quad_order_for
-from selfoc.coupling2d import _first_block, _pair, _target_mode_moments
+from selfoc.coupling1d import _n_prime_moments
+from selfoc.coupling2d import _first_block, _pair, _target_mode_moments, quad_order_for
 from selfoc.hermite import (
     MODE_INDEX_CAP,
     _refuse_overfull,
@@ -712,6 +713,22 @@ def _fuzz_transitions(rng, count, freqs, shift, top, top_prime):
     ]
 
 
+def _assert_right_or_refused(call, read):
+    """``call()`` is refused with a typed error (False), or its amplitudes
+    ``read(result)`` (a PartialResultError's ``result`` included) are finite
+    and no row of them carries mass past 1 + 1e-10 (True)."""
+    try:
+        values = read(call())
+    except PartialResultError as e:
+        values = read(e.result)
+    except (NumericOverflowError, CapExceededError, NotPositiveDefiniteError):
+        return False
+    with np.errstate(over="ignore"):
+        mass = (values * values).sum(axis=-1)
+    assert np.isfinite(values).all() and mass.max() <= 1.0 + 1e-10, (values, mass)
+    return True
+
+
 class TestRightOrRefusedFuzz:
     """Seeded profile pairs on the coupled path and its one-axis case, the 1D
     quadrature oracle: each answer is right, or the request is refused with a
@@ -765,24 +782,61 @@ class TestRightOrRefusedFuzz:
             assert abs(got - want) <= max(1e-13, 1e-10 * abs(want)), (t, m, got, want)
 
     def test_1d_quadrature_answered_within_bessel_or_refused(self):
-        # frequencies 1e-150..1e150 and shifts up to 1e200: about half are
-        # refused; the answers are not compared with the closed form, which
-        # can differ from them past frequency ratios of about 1e39 (ROADMAP
-        # items 2 and 11)
+        # frequencies 1e-150..1e150 and shifts up to 1e200, on both 1D
+        # routes: about half are refused; the two are not compared, as they
+        # can differ past frequency ratios of about 1e39 (ROADMAP items 2
+        # and 11)
         pairs = _fuzz_transitions(
             np.random.default_rng(12), 400, (1e-150, 1e150),
             _far_centres, 8, 8,
         )
-        answered = 0
+        for route in (overlap_quad, overlap_closed):
+            answered = 0
+            for t, m in pairs:
+                try:
+                    amp = route(t, m)
+                except NumericOverflowError:
+                    continue
+                assert type(amp) is float and math.isfinite(amp), (route, t, m, amp)
+                assert abs(amp) <= 1.0 + 1e-10, (route, t, m, amp)
+                answered += 1
+            assert 0 < answered < len(pairs), route
+
+    def test_1d_results_within_bessel_or_refused(self):
+        # spectra (cap 256) and matrices (n' up to 64) on the extreme range
+        pairs = _fuzz_transitions(
+            np.random.default_rng(13), 400, (1e-150, 1e150),
+            _far_centres, 8, 64,
+        )
+        answered = np.zeros(2, int)
         for t, m in pairs:
-            try:
-                amp = overlap_quad(t, m)
-            except NumericOverflowError:
-                continue
-            assert type(amp) is float and math.isfinite(amp), (t, m, amp)
-            assert abs(amp) <= 1.0 + 1e-10, (t, m, amp)
-            answered += 1
-        assert 0 < answered < len(pairs)
+            answered += (
+                _assert_right_or_refused(lambda: spectrum1d(t, cap=256), lambda s: s.amplitude),
+                _assert_right_or_refused(
+                    lambda: coupling_matrix(t.source, t.target, t.n, max(m, t.n)), lambda c: c.values
+                ),
+            )
+        assert (answered > 0).all()
+
+    def test_tensors_within_bessel_or_refused(self):
+        # coupled tensors (cap 32) and, with gamma set to 0, separable ones
+        # (cap 64) on the extreme range, sources (0..2, 0..2)
+        rng = np.random.default_rng(14)
+        pairs = _fuzz_profiles(rng, 300, (1e-150, 1e150), _far_centres)
+        answered = np.zeros(2, int)
+        for args, (n_x, n_y) in zip(pairs, rng.integers(0, 3, size=(len(pairs), 2)).tolist()):
+            uncoupled = [(wx, wy, 0.0, c) for wx, wy, _, c in args]
+            answered += (
+                _assert_right_or_refused(
+                    lambda: coupled_tensor(*(Waveguide2D(*a) for a in args), n_x, n_y, cap=32),
+                    lambda ten: ten.values.ravel(),
+                ),
+                _assert_right_or_refused(
+                    lambda: spectrum2d_separable(*(Waveguide2D(*a) for a in uncoupled), n_x, n_y, cap=64),
+                    lambda ten: ten.values.ravel(),
+                ),
+            )
+        assert (answered > 0).all()
 
     @pytest.mark.parametrize(
         "w,wp,d,n,n_prime",

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -50,3 +51,24 @@ def test_public_surface_is_pinned():
     library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     names = re.findall(r"\w+", re.search(r"from selfoc import \((.*?)\)", library, re.S).group(1))
     assert names and set(names) <= set(PUBLIC)
+
+
+def test_every_import_is_read():
+    # a module's imports are its dependencies: one it never reads is dead
+    # weight that hides which modules really depend on which (__init__
+    # imports to re-export)
+    unread = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "selfoc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unread[path.name] = sorted(imported - read)
+    assert unread == {}
