@@ -46,7 +46,6 @@ from .hermite import (
     OverlapKernel,
     build_kernel,
     hermite_scaled,
-    oscillator_psi,
     scaled_hermite_table,
 )
 from .quadrature import QuadratureRule, gauss_hermite
@@ -78,7 +77,6 @@ __all__ = [
     "gauss_hermite",
     "hermite_scaled",
     "normal_modes",
-    "oscillator_psi",
     "overlap_closed",
     "overlap_coupled",
     "overlap_quad",

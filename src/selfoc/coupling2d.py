@@ -21,6 +21,7 @@ from .errors import CapExceededError, NotPositiveDefiniteError, NumericOverflowE
 from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
+    _MASS_BOUND,
     _poly_stack,
     _refuse_overfull,
     _TableBuilder,
@@ -68,25 +69,18 @@ class Waveguide2D:
                 f"{4.0 * (wx * wx) * (wy * wy):g}"
             )
 
-    @property
-    def form_matrix(self) -> np.ndarray:
-        """Matrix M of the quadratic form U = (1/2) r^T M r."""
-        wx, wy, half = self.omega_x, self.omega_y, self.gamma / 2.0
-        return np.array([[wx * wx, half], [half, wy * wy]])
-
 
 @dataclass(frozen=True, eq=False)
 class NormalModes:
-    """Rotation angle and frequencies diagonalizing a 2D quadratic form.
+    """Frequencies and unit axes diagonalizing a 2D quadratic form.
 
-    For gamma = 0 the axes are kept in (x, y) order with theta = 0;
-    for gamma != 0 modes are ordered by descending frequency (Omega_plus
-    first) and theta is taken on the branch (-pi/4, pi/4], with
-    theta = pi/4 at exact frequency degeneracy.
-    ``axes`` holds the unit axis of each mode as rows (plus, minus).
+    ``axes`` holds the unit axis of each mode as rows (plus, minus).  For
+    gamma = 0 they are the identity, in (x, y) order.  For gamma != 0 they
+    are (cos theta, sin theta) and (-sin theta, cos theta), with theta on
+    the branch (-pi/4, pi/4] (pi/4 at exact frequency degeneracy), ordered
+    by descending frequency (Omega_plus first).
     """
 
-    theta: float
     omega_plus: float
     omega_minus: float
     axes: np.ndarray
@@ -103,7 +97,8 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
     """Diagonalize the quadratic form of a 2D profile.
 
     tan(2 theta) = gamma / (wx^2 - wy^2); the normal frequencies are the
-    square roots of the form-matrix eigenvalues.
+    square roots of the eigenvalues of the form's matrix M = [[wx^2,
+    gamma/2], [gamma/2, wy^2]], U = (1/2) r^T M r.
 
     Raises
     ------
@@ -114,12 +109,7 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
         that passes the construction check within an ulp of the boundary.
     """
     if w.gamma == 0.0:
-        return NormalModes(
-            theta=0.0,
-            omega_plus=w.omega_x,
-            omega_minus=w.omega_y,
-            axes=np.eye(2),
-        )
+        return NormalModes(omega_plus=w.omega_x, omega_minus=w.omega_y, axes=np.eye(2))
     a, cc, b = w.omega_x * w.omega_x, w.omega_y * w.omega_y, w.gamma / 2.0
     theta = math.pi / 4.0 if a == cc else 0.5 * math.atan(2.0 * b / (a - cc))
     cos, sin = math.cos(theta), math.sin(theta)
@@ -136,10 +126,7 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
             f"form eigenvalue is {lo[0]!r}"
         )
     return NormalModes(
-        theta=theta,
-        omega_plus=math.sqrt(hi[0]),
-        omega_minus=math.sqrt(lo[0]),
-        axes=np.array([hi[1], lo[1]]),
+        omega_plus=math.sqrt(hi[0]), omega_minus=math.sqrt(lo[0]), axes=np.array([hi[1], lo[1]])
     )
 
 
@@ -513,7 +500,7 @@ def coupled_tensor(
         mass, *tails = (float(a[tops[0], tops[1]]) for a in sums)
         if not math.isfinite(mass):  # a non-finite entry makes its sums inf or NaN
             _refuse_nonfinite(values)
-        if mass > 1.0 + 1e-10:  # the mass reached 1 - epsilon: the last step
+        if mass > _MASS_BOUND:  # the mass reached 1 - epsilon: the last step
             _refuse_overfull(mass, f"the coupled rectangle up to ({tops[0]}, {tops[1]})")
         if tails[1] - tails[0] <= 1e-12 * tails[1] + 2.0**-50 * mass:
             tails = (tails[1], tails[1])

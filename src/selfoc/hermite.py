@@ -1,10 +1,13 @@
-"""Hermite polynomials, oscillator eigenfunctions, and the scaled
-two-index Hermite table behind the closed-form mode overlaps.
+"""Normalised Hermite polynomials and the scaled two-index Hermite table
+behind the closed-form mode overlaps.
 
 Natural units throughout: hbar = m = 1, so a channel of frequency
-``omega`` has characteristic length ``l = omega**-0.5``.  The table
-entries are pre-divided by ``sqrt(2**(n+m) n! m!)`` so no factorial is
-ever materialized and entries stay O(1)-ish out to thousands of quanta.
+``omega`` has characteristic length ``l = omega**-0.5``.  One recurrence,
+:func:`_ladder`, yields the levels H_k / sqrt(2**k k!) from 1 for
+``hermite_scaled``, the coupled quadrature stacks and the Gauss-Hermite
+rules.  The table entries are pre-divided by ``sqrt(2**(n+m) n! m!)`` so
+no factorial is ever materialized and entries stay O(1)-ish out to
+thousands of quanta.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from .errors import CapExceededError, NumericOverflowError
 #: Hard cap on any mode index; larger requests are refused outright.
 MODE_INDEX_CAP = 4096
 
-_PI_QUARTER = math.pi ** -0.25
 _RESCALE_AT, _RESCALE_BITS = 1e150, 512  # see _ladder
+#: Largest sum of squares a row or block of overlaps may carry before it is
+#: refused as over-full: 1 (Bessel's inequality) plus a round-off allowance.
+_MASS_BOUND = 1.0 + 1e-10
 
 
 def check_mode_index(n, name: str = "n") -> int:
@@ -50,35 +55,29 @@ class OscillatorFrame:
         if not math.isfinite(self.center):
             raise ValueError(f"center must be finite, got {self.center}")
 
-    @property
-    def length(self) -> float:
-        """Characteristic length l = omega**-0.5."""
-        return self.omega ** -0.5
 
-
-def _ladder(xi, phi0=None, e=0, out=None):
+def _ladder(xi, out=None):
     """Yield (phi_k, phi_{k-1}, e) of phi_{k+1} = sqrt(2/(k+1)) xi phi_k -
-    sqrt(k/(k+1)) phi_{k-1} from phi_0 = phi0 (ones if None), phi_{-1} = 0;
-    the true levels are ldexp(phi, 512 e), so phi_{k-1} is on phi_k's scale.
-    Each level is computed in place with the formula's IEEE operations, in a
-    fresh array, or in row k of ``out`` (levels on axis 0), where the ladder
-    ends at the last row, no level is allocated and the products sqrt(2/(k+1))
-    xi are formed in one call.  A level passing 1e150 is scaled with the one
-    below by 2**-512 there and e goes up by 1 (e is rebound only then; the
-    level below is scaled in a copy, so a yielded level never changes): exact,
-    so finite levels keep their bits.  No level passes 1.0865 max|phi0|
-    exp(max xi^2/2) (Cramer, A&S 22.14.17)."""
-    peak = 1.0 if phi0 is None else np.abs(phi0).max(initial=1e-300)
-    if out is not None:
-        out[0] = 1.0 if phi0 is None else phi0
-        phi0 = out[0]
+    sqrt(k/(k+1)) phi_{k-1} from phi_0 = 1, phi_{-1} = 0, e = 0; the true
+    levels are ldexp(phi, 512 e), so phi_{k-1} is on phi_k's scale.  Each
+    level is computed in place with the formula's IEEE operations, in a fresh
+    array, or in row k of ``out`` (levels on axis 0), where the ladder ends at
+    the last row, no level is allocated and the products sqrt(2/(k+1)) xi are
+    formed in one call.  A level passing 1e150 is scaled with the one below
+    by 2**-512 there and e goes up by 1 (e is rebound only then; the level
+    below is scaled in a copy, so a yielded level never changes): exact, so
+    finite levels keep their bits.  No level passes 1.0865 exp(max xi^2/2)
+    (Cramer, A&S 22.14.17)."""
+    if out is None:
+        cur = np.ones_like(xi)
+    else:
+        out[0] = 1.0
+        cur = out[0]
         np.multiply.outer(np.sqrt(2.0 / np.arange(1.0, len(out))), xi, out=out[1:])
-    elif phi0 is None:
-        phi0 = np.ones_like(xi)
-    yield phi0, 0.0, e
-    prev, cur, scaled_prev = 0.0, phi0, np.empty_like(xi)
+    prev, e, scaled_prev = 0.0, 0, np.empty_like(xi)
+    yield cur, prev, e
     top = float(np.abs(xi).max(initial=0.0))
-    rescale = not 0.5 * top * top + math.log(peak) <= math.log(_RESCALE_AT / 1.0865)
+    rescale = not 0.5 * top * top <= math.log(_RESCALE_AT / 1.0865)
     for k in count() if out is None else range(len(out) - 1):
         nxt = math.sqrt(2.0 / (k + 1)) * xi if out is None else out[k + 1]
         nxt *= cur
@@ -89,14 +88,6 @@ def _ladder(xi, phi0=None, e=0, out=None):
             cur, e = cur * factor, e + big
         prev, cur = cur, nxt
         yield cur, prev, e
-
-
-def _level(n: int, xi, phi0=None, e=0):
-    """Level n of :func:`_ladder` with its scale undone; a float for scalar input."""
-    phi, _, e = next(islice(_ladder(xi, phi0, e), n, None))
-    if not isinstance(e, int):  # an int e is the start's 0: nothing was scaled
-        phi = np.ldexp(phi, _RESCALE_BITS * e)
-    return phi if phi.ndim else float(phi)
 
 
 def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
@@ -126,34 +117,18 @@ def _scaled_pass(order: int, x: np.ndarray):
 
 
 def hermite_scaled(n: int, xi):
-    """H_n(xi) / sqrt(2**n n!) via the normalized recurrence.
+    """H_n(xi) / sqrt(2**n n!) via the normalized recurrence: level n of
+    :func:`_ladder` with its scale undone, a float for scalar input.
 
     This is the polynomial part of an oscillator eigenfunction; dividing
     out the factorial and rescaling as :func:`_ladder` does keep it finite
     wherever the result is, also where raw H_n leaves double range.
     """
     n = check_mode_index(n)
-    xi = np.asarray(xi, dtype=float)
-    return _level(n, xi)
-
-
-def oscillator_psi(x, n: int, frame: OscillatorFrame):
-    """Harmonic-oscillator eigenfunction psi(x) for the given channel.
-
-    Evaluated by :func:`_ladder` from the Gaussian ground state, lifted by
-    2**(512 |e|) where it would fall below 2**-1022 (up to |e| = 64, or |xi|
-    216, past which every psi_n with n <= MODE_INDEX_CAP underflows).  Sign
-    convention: positive leading Hermite coefficient.
-    """
-    n = check_mode_index(n)
-    x = np.asarray(x, dtype=float)
-    l = frame.length
-    xi = (x - frame.center) / l
-    g, log_step = -0.5 * xi * xi, _RESCALE_BITS * math.log(2.0)
-    # fmin sends NaN to 0 and fmax -inf to -64, so every e casts to int
-    e = np.fmax(np.fmin(np.floor(g / log_step + 1022 / _RESCALE_BITS), 0), -64).astype(int)
-    phi0 = _PI_QUARTER / math.sqrt(l) * np.exp(g - e * log_step)
-    return _level(n, xi, phi0, e)
+    phi, _, e = next(islice(_ladder(np.asarray(xi, dtype=float)), n, None))
+    if not isinstance(e, int):  # an int e is the start's 0: nothing was scaled
+        phi = np.ldexp(phi, _RESCALE_BITS * e)
+    return phi if phi.ndim else float(phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,14 +385,11 @@ class _TableBuilder:
         self.hi[0, m_old + 2:m_new + 2] = new_hi
         self.lo[0, m_old + 2:m_new + 2] = new_lo
 
-    def row(self, n: int) -> np.ndarray:
-        """Row n rounded to double."""
-        return self.hi[n, 1:] + self.lo[n, 1:]
-
     @property
     def amplitude(self) -> np.ndarray:
-        """Amplitudes <n_rows|m> for m = 0..self.m."""
-        return self.kernel.prefactor * self.row(self.n_rows)
+        """Amplitudes <n_rows|m> for m = 0..self.m: the top row rounded to
+        double, times the prefactor."""
+        return self.kernel.prefactor * (self.hi[self.n_rows, 1:] + self.lo[self.n_rows, 1:])
 
     def table(self) -> np.ndarray:
         return self.hi[:, 1:] + self.lo[:, 1:]
@@ -425,9 +397,9 @@ class _TableBuilder:
 
 def _refuse_overfull(mass, what: str):
     """Raise NumericOverflowError, naming the fullest row, where a closed-form
-    row's sum of squares (one per row in ``mass``) passes 1 + 1e-10."""
+    row's sum of squares (one per row in ``mass``) passes ``_MASS_BOUND``."""
     mass = np.atleast_1d(mass)
-    if mass.max() > 1.0 + 1e-10:
+    if mass.max() > _MASS_BOUND:
         row = int(np.argmax(mass))
         raise NumericOverflowError(f"{what} carries mass {mass[row]:.12g} > 1", index=row)
 

@@ -139,7 +139,7 @@ class TestSpectrum:
         kernel = build_kernel(t.source, t.target)
         builder = _TableBuilder(kernel, n)
         builder.extend(sp.cutoff + 300)
-        amplitude = kernel.prefactor * builder.row(n)
+        amplitude = builder.amplitude
         cumulative = np.cumsum(amplitude * amplitude)
         assert np.array_equal(sp.amplitude, amplitude[: sp.cutoff + 1])
         assert sp.captured_mass == cumulative[sp.cutoff]

@@ -72,21 +72,22 @@ class TestWaveguide2D:
         with pytest.raises(ValueError):
             Waveguide2D(1.0, 1.0, 0.0, (math.nan, 0.0))
 
-    def test_form_matrix(self):
-        w = Waveguide2D(2.0, 3.0, 1.0)
-        assert np.allclose(w.form_matrix, [[4.0, 0.5], [0.5, 9.0]])
+
+def form_matrix(w):
+    """Matrix M of a profile's quadratic form U = (1/2) r^T M r."""
+    half = w.gamma / 2.0
+    return np.array([[w.omega_x**2, half], [half, w.omega_y**2]])
 
 
 class TestNormalModes:
     def test_uncoupled_keeps_axis_order(self):
         nm = normal_modes(Waveguide2D(1.0, 2.0))
-        assert nm.theta == 0.0
         assert nm.frequencies == (1.0, 2.0)
         assert np.array_equal(nm.axes, np.eye(2))
 
     def test_degenerate_coupled(self):
         nm = normal_modes(Waveguide2D(1.0, 1.0, 1.0))
-        assert nm.theta == pytest.approx(math.pi / 4)
+        assert np.array_equal(nm.axes[0], [math.cos(math.pi / 4), math.sin(math.pi / 4)])
         assert nm.omega_plus**2 == pytest.approx(1.5, rel=1e-14)
         assert nm.omega_minus**2 == pytest.approx(0.5, rel=1e-14)
 
@@ -95,8 +96,14 @@ class TestNormalModes:
         assert nm.omega_plus > nm.omega_minus
 
     def test_theta_branch(self):
-        nm = normal_modes(Waveguide2D(2.0, 1.0, 0.8))
-        assert -math.pi / 4 < nm.theta <= math.pi / 4
+        # the axes are (cos t, sin t) and (-sin t, cos t) with t in
+        # (-pi/4, pi/4], in frequency order: either row may be the first
+        for w, first in [(Waveguide2D(2.0, 1.0, 0.8), 0), (Waveguide2D(1.0, 2.0, 1.0), 1),
+                         (Waveguide2D(1.0, 1.0, -1.0), 1), (Waveguide2D(1.0, 3.0, -2.5), 1)]:
+            axes = normal_modes(w).axes
+            (cos, sin), other = axes[first], axes[1 - first]
+            assert np.array_equal(other, [-sin, cos]), w
+            assert -math.pi / 4 < math.atan2(sin, cos) <= math.pi / 4, w
 
     @pytest.mark.parametrize("seed", range(6))
     def test_round_trip_reconstruction(self, seed):
@@ -108,12 +115,12 @@ class TestNormalModes:
         rebuilt = nm.omega_plus**2 * np.outer(nm.axes[0], nm.axes[0]) + (
             nm.omega_minus**2 * np.outer(nm.axes[1], nm.axes[1])
         )
-        assert np.abs(rebuilt - w.form_matrix).max() < 1e-12
+        assert np.abs(rebuilt - form_matrix(w)).max() < 1e-12
 
     def test_eigenvalues_match_closed_form(self):
         w = Waveguide2D(1.2, 0.8, 0.9)
         nm = normal_modes(w)
-        evals = np.linalg.eigvalsh(w.form_matrix)
+        evals = np.linalg.eigvalsh(form_matrix(w))
         assert nm.omega_minus**2 == pytest.approx(evals[0], rel=1e-13)
         assert nm.omega_plus**2 == pytest.approx(evals[1], rel=1e-13)
 
@@ -146,7 +153,7 @@ class TestNormalModes:
             wy = wx * math.exp(log_ratio)
             w = Waveguide2D(wx, wy, 2.0 * g * wx * wy)
             nm = normal_modes(w)
-            lo, hi = np.linalg.eigvalsh(w.form_matrix)
+            lo, hi = np.linalg.eigvalsh(form_matrix(w))
             tol = 1e-14 * nm.omega_plus**2
             assert abs(nm.omega_plus**2 - hi) <= tol
             assert abs(nm.omega_minus**2 - lo) <= tol

@@ -14,7 +14,6 @@ from selfoc import (
     build_kernel,
     gauss_hermite,
     hermite_scaled,
-    oscillator_psi,
     scaled_hermite_table,
 )
 from selfoc import _dd as dd
@@ -99,7 +98,7 @@ class TestHermiteScaled:
     def test_bits_pinned(self):
         # every level 0..400 on a seeded grid with |xi| <= 30, as an array
         # and point by point as scalars; the digest was recorded before the
-        # recurrence was shared with oscillator_psi and the coupled stacks
+        # recurrence was shared with the coupled stacks and the rules
         rng = np.random.default_rng(7)
         xi = np.concatenate([rng.uniform(-30.0, 30.0, 60), [-30.0, -0.0, 0.0, 30.0]])
         grid = xi.reshape(8, 8)
@@ -125,48 +124,9 @@ class TestHermiteScaled:
         vals = hermite_scaled(n, np.array([xi, -xi]))
         assert vals == pytest.approx([expected, (-1) ** n * expected], rel=1e-12)
 
-
-class TestOscillatorFrame:
-    def test_length(self):
-        assert OscillatorFrame(4.0).length == 0.5
-
-    @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
-    def test_bad_omega(self, omega):
-        with pytest.raises(ValueError):
-            OscillatorFrame(omega)
-
-    def test_bad_center(self):
-        with pytest.raises(ValueError):
-            OscillatorFrame(1.0, math.inf)
-
-
-class TestOscillatorPsi:
-    def test_ground_state_peak(self):
-        assert oscillator_psi(0.0, 0, OscillatorFrame(1.0)) == pytest.approx(
-            math.pi ** -0.25, rel=1e-14
-        )
-
-    @pytest.mark.parametrize("omega,d", [(1.0, 0.0), (3.0, 2.0), (0.4, -1.5)])
-    def test_shifted_ground_state_at_center(self, omega, d):
-        frame = OscillatorFrame(omega, d)
-        assert oscillator_psi(d, 0, frame) == pytest.approx(
-            (omega / math.pi) ** 0.25, rel=1e-14
-        )
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 11])
-    def test_parity_exact(self, n):
-        frame = OscillatorFrame(1.7)
-        x = np.linspace(0.1, 3.0, 9)
-        left = oscillator_psi(-x, n, frame)
-        right = (-1.0) ** n * oscillator_psi(x, n, frame)
-        assert left.shape == x.shape
-        assert np.array_equal(left, right)
-        assert type(oscillator_psi(x[0], n, frame)) is float
-
     @pytest.mark.parametrize("n,omega", [(0, 1.0), (5, 1.0), (3, 2.5)])
     def test_normalization_by_quadrature(self, n, omega):
-        frame = OscillatorFrame(omega)
-        l = frame.length
+        l = omega ** -0.5
         rule = gauss_hermite(n + 9)
         # psi^2 = (polynomial part)^2 * exp(-(x/l)^2): integrate the
         # polynomial part against the rule's own Gaussian, x = l t
@@ -177,28 +137,16 @@ class TestOscillatorPsi:
         norm = l * rule.weights @ poly_part(l * rule.nodes)
         assert norm == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "x,expected",
-        [(38.0, 0.16414681105921246), (40.0, 0.17225052073279227), (45.0, 0.071197481576578756)],
-    )
-    def test_deep_gaussian_start(self, x, expected):
-        # mpmath values inside the turning point 44.7 of n = 1000 (45 is
-        # just past it), where exp(-x^2/2) is subnormal or 0
-        frame = OscillatorFrame(1.0)
-        assert oscillator_psi(x, 1000, frame) == pytest.approx(expected, rel=1e-12)
-        assert oscillator_psi(np.array([-x]), 1000, frame)[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_matches_explicit_formula_small_n(self):
-        frame = OscillatorFrame(2.0, 0.5)
-        x = 1.1
-        xi = (x - 0.5) * math.sqrt(2.0)
-        expected = (
-            (2.0 / math.pi) ** 0.25
-            / math.sqrt(2.0**3 * math.factorial(3))
-            * hermite_by_sum(3, xi)
-            * math.exp(-0.5 * xi * xi)
-        )
-        assert oscillator_psi(x, 3, frame) == pytest.approx(expected, rel=1e-13)
+class TestOscillatorFrame:
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_omega(self, omega):
+        with pytest.raises(ValueError):
+            OscillatorFrame(omega)
+
+    def test_bad_center(self):
+        with pytest.raises(ValueError):
+            OscillatorFrame(1.0, math.inf)
 
 
 class TestBuildKernel:

@@ -31,7 +31,6 @@ PUBLIC = [
     "gauss_hermite",
     "hermite_scaled",
     "normal_modes",
-    "oscillator_psi",
     "overlap_closed",
     "overlap_coupled",
     "overlap_quad",
@@ -42,15 +41,27 @@ PUBLIC = [
 ]
 
 
+def library_example() -> str:
+    """The Python block of README's ``## Library`` section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", library, re.S).group(1)
+
+
 def test_public_surface_is_pinned():
     assert selfoc.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(selfoc, name)
     # README's library example imports public names only
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    names = re.findall(r"\w+", re.search(r"from selfoc import \((.*?)\)", library, re.S).group(1))
+    imports = re.search(r"from selfoc import \((.*?)\)", library_example(), re.S).group(1)
+    names = re.findall(r"\w+", imports)
     assert names and set(names) <= set(PUBLIC)
+
+
+def test_readme_library_example_runs():
+    # the whole example, not only its import line: a call or attribute it
+    # reads that was removed or renamed fails here
+    exec(compile(library_example(), "README.md (## Library)", "exec"), {})
 
 
 def test_every_import_is_read():
