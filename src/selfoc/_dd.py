@@ -8,9 +8,10 @@ factors with their splits, once per process (``hermite._index_factors``).
 The table's rows n >= 1 use ``split_into``, ``mul_into`` and ``sub_into``,
 which run the same IEEE operations in the same order into arrays the
 caller gives: a split taken once is passed in, not recomputed, and no
-intermediate is allocated (``hermite._TableBuilder._rows`` allocates the
-arrays, one per role, for each fill).  Row 0 of the table, a sequential
-recurrence, runs these operations written out on Python floats
+intermediate is allocated (``hermite._TableBuilder._rows``, the one row
+step whichever rows a table keeps, allocates the arrays, one per role, for
+each fill).  Row 0 of the table, a sequential recurrence, runs these
+operations written out on Python floats, a chunk of columns at a time
 (``hermite._TableBuilder._row0``).  All three give the plain forms' bits.
 
 The extra precision is not cosmetic: the overlap recurrences cancel up to

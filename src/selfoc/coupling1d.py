@@ -26,8 +26,8 @@ from .hermite import (
     check_mode_index,
 )
 
-#: Entry budget of :func:`spectrum1d`'s first fill (n + 1 rows times
-#: columns, 1 MiB of double-double values); see ``_first_extent``.
+#: Work budget of :func:`spectrum1d`'s first fill: n + 1 rows times columns
+#: of table entries computed, not held; see ``_first_extent``.
 _FIRST_FILL_ENTRIES = 1 << 16
 
 
@@ -138,13 +138,15 @@ def _first_extent(t: Transition1D) -> int:
     """First table extent for :func:`spectrum1d`: where the mass should end.
 
     ceil(mean + 4 sigma) of n' plus a margin of 16, clamped to
-    ``_FIRST_FILL_ENTRIES // (n + 1)`` (near 2^16 entries over the n + 1
-    rows): excited inputs at large shifts spread so wide that a fill sized
-    by the spread alone would run to the cap, and hold a table of that
-    size, before the mass is even looked at.  Moments that leave double
-    range (extreme frequency ratios) leave only the clamp.  The floor of 64
-    comes last, so it wins for n >= 1024: n = 4000 fills columns 0..64 of
-    4001 rows, 260,065 entries or about 4 MB of double-double words.
+    ``_FIRST_FILL_ENTRIES // (n + 1)`` (near 2^16 entries computed over the
+    n + 1 rows): excited inputs at large shifts spread so wide that a fill
+    sized by the spread alone would run to the cap, computing n + 1 rows of
+    4097 columns, before the mass is even looked at.  The clamp bounds that
+    work; the table held is four rows of the columns and one column of the
+    n + 1 rows, whatever n is.
+    Moments that leave double range (extreme frequency ratios) leave only
+    the clamp.  The floor of 64 comes last, so it wins for n >= 1024:
+    n = 4000 computes columns 0..64 of 4001 rows, 260,065 entries.
     """
     mean, var = _n_prime_moments(t)
     spread = mean + 4.0 * math.sqrt(var)
@@ -221,7 +223,7 @@ def coupling_matrix(
             RuntimeWarning,
             stacklevel=2,
         )
-    builder = _TableBuilder(build_kernel(source, target), n_max)
+    builder = _TableBuilder(build_kernel(source, target), n_max, every_row=True)
     builder.extend(n_prime_max)
     values = builder.kernel.prefactor * builder.table()
     _refuse_overfull((values * values).sum(axis=1), "a coupling matrix row")

@@ -211,43 +211,61 @@ def _index_factors():
     return factors
 
 
+#: Columns of row 0 per chunk of index factors taken as Python floats.
+_ROW0_CHUNK = 256
+
+
 class _TableBuilder:
     """Incrementally grown scaled table of one kernel in compensated
     arithmetic; holds the kernel, whose prefactor makes ``amplitude`` the
     top row as overlap amplitudes.
 
-    High and low words live in two arrays ``hi`` and ``lo`` of n_rows + 1
-    rows, filled in place: storage column j is table column j - 1, and
-    column 0 holds the zeros of column m = -1.  Row 0 is filled along m
-    (three-term recurrence) in one loop over Python floats (``_row0``).
-    Each further row depends only on the two rows below it and is one row
-    step over the new columns (``_rows``), in ``_dd``'s array forms: a row
-    is split once, at the start of the step above it, and its products with
-    (ry1, r12, r11) serve the next two rows.  Both run the IEEE operations
-    of the plain ``_dd`` calls in their order, so every bit is what those
-    calls would give.  Both read the index factors and their splits from
-    ``_index_factors()``; a fill's workspaces, one array per role, live for
-    its ``extend``.  Every entry comes out the same however the columns were
-    split into ``extend`` calls, so spectra can extend their cutoff without
-    recomputation.
+    High and low words live in two arrays ``hi`` and ``lo`` of one row per
+    slot, filled in place: storage column j is table column j - 1, and
+    column 0 holds the zeros of column m = -1.  Row n is written into slot
+    ``_slot[n]``, a map fixed at construction.  With ``every_row`` each row
+    has a slot of its own and ``table`` reads them all; otherwise row 0 and
+    the top row have theirs and rows 1..n_rows - 1 take turns in a two-slot
+    ring, so the store grows with the columns, not with the rows.  Row 0 is
+    filled along m (three-term recurrence) in a loop over Python floats
+    (``_row0``).  Each further row is one row step over the new columns
+    (``_rows``) that reads only its window of the row below, the new columns
+    and the one before them: a row is split once, at the start of the step
+    above it, and its products with (ry1, r12, r11) serve the next two rows.
+    Each row's last filled column is kept as its frontier and put back in
+    front of its window before the row above reads it, and row 0 keeps its
+    last two columns in its slot, so a later ``extend`` goes on from every
+    row.  Both fills run the IEEE operations of the plain ``_dd`` calls in
+    their order, so every bit is what those calls would give, and every
+    entry comes out the same however the columns were split into ``extend``
+    calls: spectra can extend their cutoff without recomputation.  Both
+    read the index factors and their splits from ``_index_factors()``; a
+    fill's workspaces, one array per role, live for its ``extend``.
     """
 
-    def __init__(self, kernel: OverlapKernel, n_rows: int):
+    def __init__(self, kernel: OverlapKernel, n_rows: int, every_row: bool = False):
         self.kernel = kernel
         self.n_rows = n_rows
         self.m = -1  # highest filled column
-        self.hi, self.lo = np.zeros((2, n_rows + 1, 1))
+        if every_row:
+            self._slot = list(range(n_rows + 1))
+        else:  # row 0, rows 1..n_rows - 1 by turns in slots 1 and 2, the top row
+            ring = [2 - n % 2 for n in range(1, n_rows)]
+            self._slot = [0, *ring, min(n_rows, 3)][: n_rows + 1]
+        self.hi, self.lo = np.zeros((2, self._slot[-1] + 1, 1))
+        self._edge = np.zeros((2, n_rows + 1))  # each row's frontier: column m
 
     def extend(self, m_new: int):
         """Fill all rows out to column ``m_new`` (inclusive)."""
         if m_new <= self.m:
             return
         lo_col = self.m + 1
-        # one zeroed buffer for both words, the old columns copied in: no
-        # block of zeros stays allocated through the fill
-        grown = np.zeros((2, self.n_rows + 1, m_new + 2))
+        # one buffer for both words, the old columns copied in; every new
+        # column is written by its row
+        grown = np.empty((2, len(self.hi), m_new + 2))
         grown[0, :, :lo_col + 1], grown[1, :, :lo_col + 1] = self.hi, self.lo
         self.hi, self.lo = grown
+        self._bad = []  # (m, n) of each row's first non-finite entry
         self._row0(m_new)
         if self.n_rows:
             # overflow surfaces as a typed error below, not as a warning
@@ -258,9 +276,8 @@ class _TableBuilder:
         # earlier fills found the columns before lo_col finite, and column m
         # depends only on columns <= m: the first column holding a non-finite
         # entry, at its lowest row, is named however the columns were split
-        if not (ok := np.isfinite(self.hi[:, lo_col + 1:])).all():
-            m_bad = lo_col + int(ok.all(axis=0).argmin())
-            n = int(ok[:, m_bad - lo_col].argmin())
+        if self._bad:
+            m_bad, n = min(self._bad)
             raise NumericOverflowError(
                 f"scaled Hermite table overflowed at entry (n={n}, m={m_bad})", index=(n, m_bad)
             )
@@ -271,15 +288,16 @@ class _TableBuilder:
         Row n is dd.mul(dd.sub(dd.sub(ry1 h[n-1, m], r11 h[n-2, m] sq[n-1]),
         r12 h[n-1, m-1] sq[m]), inv[n-1]) (no r11 term in row 1), run by
         ``_dd``'s array forms with the same IEEE operations.  Row n starts by
-        splitting row n - 1's window (the new columns and the one before them)
-        and multiplying it by (ry1, r12, r11) in one stacked product, which
-        rows n and n + 1 read; the two index-factor products of each row are
-        one stacked product too.  The index factors and their splits are views
-        of ``_index_factors()``; the workspaces, one array per role, and the
-        coefficients with their split last this one fill."""
+        putting row n - 1's frontier back in front of its window, splitting
+        that window and multiplying it by (ry1, r12, r11) in one stacked
+        product, which rows n and n + 1 read; the two index-factor products
+        of each row are one stacked product too.  Each row is checked for
+        non-finite entries as it is written.  The index factors and their
+        splits are views of ``_index_factors()``; the workspaces, one array
+        per role, and the coefficients with their split last this one fill."""
         hi, lo, k, f = self.hi, self.lo, m_new + 1 - lo_col, _index_factors()
         win, new = slice(lo_col, m_new + 2), slice(lo_col + 1, m_new + 2)
-        c = self.kernel
+        c, slot, (edge_hi, edge_lo) = self.kernel, self._slot, self._edge
         coef = np.array([[*r, *dd.split(float(r[0]))] for r in (c.ry1, c.r12, c.r11)]).T[:, :, None]
         coef, coef_split = tuple(coef[:2]), tuple(coef[2:])
         # prod: (ry1, r12, r11) times the row below; x: r12 h[n-1, m-1] and
@@ -299,10 +317,14 @@ class _TableBuilder:
         index_products = (x_pair, x_split, tuple(y[:2]), tuple(y[2:]), t, work2)
         t_r12, t_r11 = (t[0][0], t[1][0]), (t[0][1], t[1][1])
         (x_r12_hi, x_r11_hi), (x_r12_lo, x_r11_lo) = x
+        zeros = np.zeros(k)
         for n in range(1, self.n_rows + 1):
-            row, at = hi[n - 1, win], slice(n - 1, n)
+            below, at = slot[n - 1], slice(n - 1, n)
+            row, row_lo = hi[below, win], lo[below, win]
+            row[0], row_lo[0] = edge_hi[n - 1], edge_lo[n - 1]
+            edge_hi[n - 1], edge_lo[n - 1] = row[-1], row_lo[-1]
             dd.split_into(row, row_split)
-            dd.mul_into(coef, coef_split, (row, lo[n - 1, win]), row_split, prod, work3)
+            dd.mul_into(coef, coef_split, (row, row_lo), row_split, prod, work3)
             x_r12_hi[...], x_r12_lo[...] = r12_shift
             y[:, 1] = f[:4, at]
             dd.split_into(x_pair[0], x_split)
@@ -314,8 +336,11 @@ class _TableBuilder:
                 dd.sub_into(ry1_new, t_r12, acc, work)
             x_r11_hi[...], x_r11_lo[...] = r11_new
             dd.split_into(acc[0], acc_split)
-            dd.mul_into(acc, acc_split, (f[4, at], f[5, at]), (f[6, at], f[7, at]),
-                        (hi[n, new], lo[n, new]), work[:2])
+            out = (hi[slot[n], new], lo[slot[n], new])
+            dd.mul_into(acc, acc_split, (f[4, at], f[5, at]), (f[6, at], f[7, at]), out, work[:2])
+            # zeros times a finite row sum to 0; an inf or NaN makes NaN
+            if not math.isfinite(out[0].dot(zeros)):
+                self._bad.append((lo_col + int(np.isfinite(out[0]).argmin()), n))
 
     def _row0(self, m_new: int):
         """Row 0 for columns self.m+1..m_new, written into the store.
@@ -325,73 +350,81 @@ class _TableBuilder:
         off the loop, which writes the rest out operation by operation on
         Python floats.  (x0, x1) is a double-double and (xh, xl) the Dekker
         split of x0; q and c are h[m-1] and h[m].  The eight index factors of
-        each column, with their splits, come from ``_index_factors()`` in one
-        ``tolist``; the coefficients are split once per fill, each new entry
-        once, and that split is reused for the next two columns."""
+        each column, with their splits, come from ``_index_factors()`` with
+        one ``tolist`` per chunk of ``_ROW0_CHUNK`` columns, and each chunk
+        is written into the store; the coefficients are split once per fill,
+        each new entry once, and that split is reused for the next two
+        columns.  The new columns are checked for non-finite entries."""
         splitter = dd._SPLIT
         a0, a1 = float(self.kernel.ry2[0]), float(self.kernel.ry2[1])
         g0, g1 = float(self.kernel.r22[0]), float(self.kernel.r22[1])
-        self.hi[0, 1] = 1.0  # h[0, 0]; later fills rewrite it unchanged
+        hi, lo = self.hi[0], self.lo[0]
+        hi[1], lo[1] = 1.0, 0.0  # h[0, 0]; later fills rewrite it unchanged
         m_old = max(self.m, 0)
         # h[m_old - 1] and h[m_old]; at m_old = 0 q is the zero column, never read
-        q0, c0 = self.hi[0, m_old:m_old + 2].tolist()
-        q1, c1 = self.lo[0, m_old:m_old + 2].tolist()
+        q0, c0 = hi[m_old:m_old + 2].tolist()
+        q1, c1 = lo[m_old:m_old + 2].tolist()
         f = _index_factors()
-        new_hi, new_lo = [0.0] * (m_new - m_old), [0.0] * (m_new - m_old)
-        peel = m_old == 0 < m_new
-        if peel:
+        if m_old == 0 < m_new:  # column 1
             q0, q1 = c0, c1
             c0, c1 = dd.mul(dd.mul((a0, a1), (c0, c1)), f[4:6, 0].tolist())
-            new_hi[0], new_lo[0] = c0, c1
+            hi[2], lo[2] = c0, c1
+            m_old = 1
         (ah, al), (gh, gl), (qh, ql), (ch, cl) = map(dd.split, (a0, g0, q0, c0))
-        columns = zip(range(peel, len(new_hi)), *f[:, m_old + peel:m_new].tolist())
-        for i, s0, s1, sh, sl, v0, v1, vh, vl in columns:
-            # acc = ry2 * h[m]
-            p = a0 * c0
-            b = ((ah * ch - p) + ah * cl + al * ch) + al * cl + a0 * c1 + a1 * c0
-            x0 = p + b
-            x1 = b - (x0 - p)
-            # t = r22 * h[m-1]
-            p = g0 * q0
-            b = ((gh * qh - p) + gh * ql + gl * qh) + gl * ql + g0 * q1 + g1 * q0
-            t0 = p + b
-            t1 = b - (t0 - p)
-            # u = t * sq[m]
-            w = splitter * t0
-            th = w - (w - t0)
-            tl = t0 - th
-            p = t0 * s0
-            b = ((th * sh - p) + th * sl + tl * sh) + tl * sl + t0 * s1 + t1 * s0
-            u0 = p + b
-            u1 = b - (u0 - p)
-            # acc = acc - u
-            s = x0 - u0
-            t = s - x0
-            b = (x0 - (s - t)) + (-u0 - t) + x1 - u1
-            x0 = s + b
-            x1 = b - (x0 - s)
-            # h[m+1] = acc * inv[m]
-            w = splitter * x0
-            xh = w - (w - x0)
-            xl = x0 - xh
-            p = x0 * v0
-            b = ((xh * vh - p) + xh * vl + xl * vh) + xl * vl + x0 * v1 + x1 * v0
-            q0, q1, qh, ql = c0, c1, ch, cl
-            c0 = new_hi[i] = p + b
-            c1 = new_lo[i] = b - (c0 - p)
-            w = splitter * c0
-            ch = w - (w - c0)
-            cl = c0 - ch
-        self.hi[0, m_old + 2:m_new + 2] = new_hi
-        self.lo[0, m_old + 2:m_new + 2] = new_lo
+        for start in range(m_old, m_new, _ROW0_CHUNK):
+            stop = min(start + _ROW0_CHUNK, m_new)
+            new_hi, new_lo = [0.0] * (stop - start), [0.0] * (stop - start)
+            for i, s0, s1, sh, sl, v0, v1, vh, vl in zip(count(), *f[:, start:stop].tolist()):
+                # acc = ry2 * h[m]
+                p = a0 * c0
+                b = ((ah * ch - p) + ah * cl + al * ch) + al * cl + a0 * c1 + a1 * c0
+                x0 = p + b
+                x1 = b - (x0 - p)
+                # t = r22 * h[m-1]
+                p = g0 * q0
+                b = ((gh * qh - p) + gh * ql + gl * qh) + gl * ql + g0 * q1 + g1 * q0
+                t0 = p + b
+                t1 = b - (t0 - p)
+                # u = t * sq[m]
+                w = splitter * t0
+                th = w - (w - t0)
+                tl = t0 - th
+                p = t0 * s0
+                b = ((th * sh - p) + th * sl + tl * sh) + tl * sl + t0 * s1 + t1 * s0
+                u0 = p + b
+                u1 = b - (u0 - p)
+                # acc = acc - u
+                s = x0 - u0
+                t = s - x0
+                b = (x0 - (s - t)) + (-u0 - t) + x1 - u1
+                x0 = s + b
+                x1 = b - (x0 - s)
+                # h[m+1] = acc * inv[m]
+                w = splitter * x0
+                xh = w - (w - x0)
+                xl = x0 - xh
+                p = x0 * v0
+                b = ((xh * vh - p) + xh * vl + xl * vh) + xl * vl + x0 * v1 + x1 * v0
+                q0, q1, qh, ql = c0, c1, ch, cl
+                c0 = new_hi[i] = p + b
+                c1 = new_lo[i] = b - (c0 - p)
+                w = splitter * c0
+                ch = w - (w - c0)
+                cl = c0 - ch
+            hi[start + 2:stop + 2] = new_hi
+            lo[start + 2:stop + 2] = new_lo
+        if not (ok := np.isfinite(hi[self.m + 2:])).all():
+            self._bad.append((self.m + 1 + int(ok.argmin()), 0))
 
     @property
     def amplitude(self) -> np.ndarray:
         """Amplitudes <n_rows|m> for m = 0..self.m: the top row rounded to
         double, times the prefactor."""
-        return self.kernel.prefactor * (self.hi[self.n_rows, 1:] + self.lo[self.n_rows, 1:])
+        top = self._slot[-1]
+        return self.kernel.prefactor * (self.hi[top, 1:] + self.lo[top, 1:])
 
     def table(self) -> np.ndarray:
+        """Every row, rounded to double: only an ``every_row`` builder keeps them."""
         return self.hi[:, 1:] + self.lo[:, 1:]
 
 
@@ -410,7 +443,7 @@ def scaled_hermite_table(kernel: OverlapKernel, n_max: int, m_max: int) -> np.nd
     the two below it.  ``kernel.prefactor * h[n, m]`` is the amplitude <n|m>."""
     n_max = check_mode_index(n_max, "n_max")
     m_max = check_mode_index(m_max, "m_max")
-    builder = _TableBuilder(kernel, n_max)
+    builder = _TableBuilder(kernel, n_max, every_row=True)
     builder.extend(m_max)
     table = builder.table()
     table.setflags(write=False)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,22 @@ class TestMomentEstimate:
         var = (r * r - 1.0) ** 2 / (8.0 * r * r)
         assert _n_prime_moments(t) == pytest.approx((mean, var), rel=1e-14)
         assert moments(spectrum1d(t, epsilon=1e-13)) == pytest.approx((mean, var), rel=1e-8)
+
+    def test_refused_wide_spectrum_memory_grows_with_columns(self):
+        # n = 300 spreads past the first fill and is refused by the mass
+        # guard; all 301 rows of its table would take 2.6 MB, the amplitude
+        # row's store of four rows takes well under 1 MB
+        t = transition(1.0, 2.0, 2.0, 300)
+        with pytest.raises(NumericOverflowError, match=r"spectrum of <300\|n'> carries mass"):
+            spectrum1d(t)  # index factors built before tracing
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericOverflowError):
+                spectrum1d(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_first_extent_is_bounded(self):
         # ground state: mean + 4 sigma + 16, at least 64 columns

@@ -17,7 +17,7 @@ from selfoc import (
     scaled_hermite_table,
 )
 from selfoc import _dd as dd
-from selfoc.hermite import _index_factors, _TableBuilder
+from selfoc.hermite import OverlapKernel, _index_factors, _TableBuilder
 
 #: Column block of the table fill before it filled in place: ``_ReferenceFill``
 #: still splits its fills into blocks this wide.
@@ -375,15 +375,52 @@ class TestTableChunking:
     )
     def test_irregular_extends_match_one_extend(self, w, wp, d, n):
         kernel = build_kernel(OscillatorFrame(w), OscillatorFrame(wp, d))
-        grown = _TableBuilder(kernel, n)
+        grown = _TableBuilder(kernel, n, every_row=True)
         for m in self.STEPS:
             grown.extend(m)
-        once = _TableBuilder(kernel, n)
+        once = _TableBuilder(kernel, n, every_row=True)
         once.extend(self.STEPS[-1])
         assert grown.m == once.m == self.STEPS[-1]
         for k in range(n + 1):
             assert np.array_equal(grown.hi[k, 1:], once.hi[k, 1:])
             assert np.array_equal(grown.lo[k, 1:], once.lo[k, 1:])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 20])
+    @pytest.mark.parametrize(
+        "w,wp,d", [(1.0, 3.0, 3.0), (1.0, 1.5, 0.0), (0.7, 2.1, -4.0), (2.0, 0.5, 1.5)]
+    )
+    def test_ring_top_row_matches_every_row(self, w, wp, d, n):
+        # the amplitude-only store (row 0, a two-slot ring, the top row) gives
+        # the top row of the every-row store and of the plain-call fill, bit
+        # for bit, after every extend of the irregular split
+        kernel = build_kernel(OscillatorFrame(w), OscillatorFrame(wp, d))
+        ring = _TableBuilder(kernel, n)
+        every, want = _TableBuilder(kernel, n, every_row=True), _ReferenceFill(kernel, n)
+        top = min(n, 3)
+        assert len(ring.hi) == top + 1
+        for m in self.STEPS:
+            for fill in (ring, every, want):
+                fill.extend(m)
+            for got, full, plain in ((ring.hi, every.hi, want.hi), (ring.lo, every.lo, want.lo)):
+                assert_same_bits(got[top, 1:], full[n, 1:])
+                assert_same_bits(got[top, 1:], plain[n])
+            assert_same_bits(ring.amplitude, every.amplitude)
+
+    def test_overflow_below_the_top_row_is_named_from_the_ring(self):
+        # coefficients picked so that row 3 of 6, a ring row, leaves double
+        # range first, at column 154, and the rows above it only there: the
+        # amplitude-only store names the entry the every-row store and the
+        # plain-call fill name, however the columns were split
+        kernel = OverlapKernel((-1.0, 0.0), (-0.36, 0.0), (1.0, 0.0), (-5.25, 0.0), (934.5, 0.0), 1.0)
+        named = set()
+        for steps in ([300], [100, 153, 154, 300], range(301)):
+            for fill in (_TableBuilder(kernel, 6), _TableBuilder(kernel, 6, every_row=True),
+                         _ReferenceFill(kernel, 6)):
+                with pytest.raises(NumericOverflowError) as info:
+                    for m in steps:
+                        fill.extend(m)
+                named.add((info.value.index, str(info.value)))
+        assert named == {((3, 154), "scaled Hermite table overflowed at entry (n=3, m=154)")}
 
     def test_overflow_entry_does_not_depend_on_the_split(self):
         # row 20 leaves double range first, at column 1728, and lower rows
@@ -531,7 +568,7 @@ class TestFillBitsPinned:
     def test_matches_dd_call_fill(self, case):
         ratio, big_d, n, steps = case
         kernel = build_kernel(OscillatorFrame(1.0), OscillatorFrame(ratio, math.sqrt(big_d)))
-        builder, want = _TableBuilder(kernel, n), _ReferenceFill(kernel, n)
+        builder, want = _TableBuilder(kernel, n, every_row=True), _ReferenceFill(kernel, n)
         for m in steps:
             builder.extend(m)
             want.extend(m)

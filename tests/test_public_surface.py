@@ -83,3 +83,27 @@ def test_every_import_is_read():
         if imported - read:
             unread[path.name] = sorted(imported - read)
     assert unread == {}
+
+
+def test_table_rows_have_one_fill():
+    # rows n >= 1 of the Hermite table come from one row step,
+    # ``_TableBuilder._rows``, whichever rows a builder keeps: no other code
+    # calls the array forms of ``_dd``, so no second fill can grow beside it
+    forms = {"split_into", "mul_into", "sub_into"}
+    callers = set()
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in forms:
+                    callers.add((module, scope, name))
+            visit(child, inner, module)
+
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "selfoc").glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path.name)
+    assert callers == {("hermite.py", "_TableBuilder._rows", name) for name in forms}
