@@ -22,6 +22,7 @@ from .hermite import (
     MODE_INDEX_CAP,
     OscillatorFrame,
     _MASS_BOUND,
+    _poly_slabs,
     _poly_stack,
     _refuse_overfull,
     _TableBuilder,
@@ -32,7 +33,8 @@ from .hermite import (
 from .quadrature import MAX_ORDER, gauss_hermite
 
 #: Default rectangle edge cap of the coupled (quadrature) path, kept well
-#: below MODE_INDEX_CAP since a block's cost rises with the cube of the edge.
+#: below MODE_INDEX_CAP since a block's time rises with the cube of the edge
+#: (its memory with the square).
 COUPLED_CAP = 256
 
 
@@ -280,16 +282,22 @@ def _coupled_block(pair: tuple, n_x: int, n_y: int, top1: int, top2: int) -> np.
     and top_o + n_x + n_y in t_k, so each axis takes the exact Gauss count
     for its own degree, ``quad_order_for``: order and order_o nodes.  Side
     j's Hermite stack is (top_j + 1) x order; side o's, (top_o + 1) x order
-    x order_o, is summed with the weights over t_k before one product over
-    t_i; a zero source index has no Hermite factor.  Every factor is a 1D
-    oscillator function via the scaled-Hermite split, so the Gaussian
-    bookkeeping stays exact.  The 2 x 2 set-up runs on Python floats from
-    ``pair``, the geometry of :func:`_pair`, in target coordinates: Q_oo,
-    the shear, s and the Gaussian's constant as sums of positive terms, so
-    that neither det Q nor the cancellation of an ill-conditioned Q enters
-    the Jacobian 2 / (sqrt(s) sqrt(Q_oo)) or the Gaussian, and the combined
-    Gaussian's centre from the same LDL^T factors of F Q F^T, with no
-    pivoting; only the shift of the centres enters.
+    x order_o, is summed with the weights over t_k into (top_o + 1) x order
+    a slab of levels at a time (``_poly_slabs``), never held whole, before
+    one product over t_i; that sum runs separately for each level and node,
+    so the slabs do not change a bit, and the block's memory grows with the
+    square of the edge, its time with the cube.  A zero source index has no
+    Hermite factor.  Every factor is a 1D oscillator function via the
+    scaled-Hermite split, so the Gaussian bookkeeping stays exact.  The
+    2 x 2 set-up runs on Python floats from ``pair``, the geometry of
+    :func:`_pair`, in target coordinates: Q_oo, the shear, s and the
+    Gaussian's constant as sums of positive terms, so that neither det Q nor
+    the cancellation of an ill-conditioned Q enters the Jacobian
+    2 / (sqrt(s) sqrt(Q_oo)) or the Gaussian, and the combined Gaussian's
+    centre from the same LDL^T factors of F Q F^T, with no pivoting; only
+    the shift of the centres enters.  Where exp(-c0) alone would be
+    subnormal, the scale carries 2**lift and one ldexp of the block takes
+    it out, so an amplitude is rounded there once.
     Overflow is computed silently: callers refuse the part they read if it
     is not finite (``_refuse_nonfinite``), the one refusal; a set-up value
     out of range (the frequencies' product, the Gaussian's constant) makes
@@ -332,20 +340,25 @@ def _coupled_block(pair: tuple, n_x: int, n_y: int, top1: int, top2: int) -> np.
     prod = math.prod(w_s + w_t)
     norm = prod ** 0.25 / math.pi if 0.0 < prod < math.inf else math.nan
     jac = 2.0 / (math.sqrt(s) * math.sqrt(c))
-    scale = norm * jac * (math.exp(-c0) if c0 < math.inf else math.nan)
+    # exp(-c0) times 2**lift, taken out again by one ldexp of the block, so that
+    # a subnormal amplitude is rounded once; lift is 0 for c0 below about 693
+    lift = min(1074, max(0, math.floor(c0 / math.log(2.0)) - 1000)) if c0 < math.inf else 0
+    scale = norm * jac * (math.exp(lift * math.log(2.0) - c0) if c0 < math.inf else math.nan)
 
     inner = gauss_hermite(quad_order_for(n_x + n_y, tops[o]))
     v_j = rule.nodes / math.sqrt(s / 2.0)
     u_j = ubar_j + v_j
     u_o = ubar_o + inner.nodes / math.sqrt(c / 2.0) - shear * v_j[:, None]
     pure = _poly_stack(tops[j], u_j * math.sqrt(w_t[j]))
-    mixed = _poly_stack(tops[o], u_o * math.sqrt(w_t[o]))
     weight = rule.weights[:, None] * inner.weights
     for g_k, p_k, w, n in zip(g, p, w_s, n_src):
         if n:  # source axis e: e.(r - c_s) = (F e).u - e.(c_s - c_t)
             weight *= hermite_scaled(n, (g_k[j] * u_j[:, None] + g_k[o] * u_o - p_k) * math.sqrt(w))
-    summed = np.einsum("aik,ik->ai", mixed, weight)
-    return scale * (pure @ summed.T if j == 0 else summed @ pure.T)
+    summed = np.empty((tops[o] + 1, order))
+    for k0, slab in _poly_slabs(tops[o], u_o * math.sqrt(w_t[o])):
+        np.einsum("aik,ik->ai", slab, weight, out=summed[k0:k0 + len(slab)])
+    block = scale * (pure @ summed.T if j == 0 else summed @ pure.T)
+    return np.ldexp(block, -lift, out=block)
 
 
 def _refuse_nonfinite(block: np.ndarray):
@@ -470,10 +483,12 @@ def coupled_tensor(
     block's probability prefix sums and checks its rectangle for non-finite
     entries only where the mass is not finite.  ``pair``, the pair's
     geometry (:func:`_pair`), is set up once and shared by the moments and
-    every block.  The default cap is deliberately modest: a block's Hermite
-    stacks hold (t_small + 1) order order_o + (t_big + 1) order doubles,
-    with the exact Gauss counts order = (n_x + n_y + t1 + t2) // 2 + 1 and
-    order_o = (n_x + n_y + t_small) // 2 + 1, a cube in the edge.
+    every block.  The default cap is deliberately modest: a block computes
+    (t_small + 1) order order_o + (t_big + 1) order Hermite values, with the
+    exact Gauss counts order = (n_x + n_y + t1 + t2) // 2 + 1 and order_o =
+    (n_x + n_y + t_small) // 2 + 1, a cube in the edge; it holds only the
+    (t_big + 1) x order stack, the (t_small + 1) x order sum over t_k and
+    one slab of the mixed stack, a square in the edge.
     """
     n_x = check_mode_index(n_x, "n_x")
     n_y = check_mode_index(n_y, "n_y")

@@ -100,6 +100,34 @@ def _poly_stack(n_top: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Doubles in one slab of :func:`_poly_slabs` (128 KB); a slab holds at
+#: least one level, however large.
+_SLAB_DOUBLES = 2**14
+
+
+def _poly_slabs(n_top: int, xi: np.ndarray):
+    """Yield (k0, slab): the rows k0.. of :func:`_poly_stack`'s stack, bit for
+    bit, in order.  A stack of at most ``_SLAB_DOUBLES`` doubles is one slab,
+    ``_poly_stack``'s own.  A larger one comes from one pass of
+    :func:`_ladder` in slabs of max(1, _SLAB_DOUBLES // xi.size) levels, held
+    in one reused buffer with each scale undone as ``_poly_stack`` undoes it;
+    a one-level slab is the ladder's level itself where nothing was scaled.
+    A slab is valid until the next is yielded."""
+    if (n_top + 1) * xi.size <= _SLAB_DOUBLES:
+        yield 0, _poly_stack(n_top, xi)
+        return
+    rows = max(1, _SLAB_DOUBLES // xi.size)
+    buffer = np.empty((rows,) + xi.shape)
+    for k, (level, _, e) in zip(range(n_top + 1), _ladder(xi)):
+        i = k % rows
+        if not isinstance(e, int):
+            level = np.ldexp(level, _RESCALE_BITS * e, out=buffer[i])
+        elif rows > 1:
+            buffer[i] = level
+        if i == rows - 1 or k == n_top:
+            yield k - i, buffer[: i + 1] if rows > 1 else level[None]
+
+
 def _scaled_pass(order: int, x: np.ndarray):
     """One sweep of :func:`_ladder` at the points ``x``: (f_order, f_{order-1},
     sum_{k<order} f_k^2, logscale), all three on f_order's scale.  The true
