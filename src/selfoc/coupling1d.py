@@ -210,9 +210,11 @@ def coupling_matrix(
 ) -> CouplingMatrix:
     """All amplitudes for initial modes 0..n_max into final 0..n_prime_max.
 
-    Cut from a single table; the reported Gram defect
-    ``max |V V^T - I|`` measures how much final-mode completeness is lost
-    to the n' truncation.
+    Cut from a single table whose rows are written into the returned array
+    as they are filled, then scaled by the prefactor in place; the reported
+    Gram defect ``max |V V^T - I|`` is formed inside the Gram matrix, so the
+    call holds about twice its result.  The defect measures how much
+    final-mode completeness is lost to the n' truncation.
     """
     n_max = check_mode_index(n_max, "n_max")
     n_prime_max = check_mode_index(n_prime_max, "n_prime_max")
@@ -223,12 +225,13 @@ def coupling_matrix(
             RuntimeWarning,
             stacklevel=2,
         )
-    builder = _TableBuilder(build_kernel(source, target), n_max, every_row=True)
-    builder.extend(n_prime_max)
-    values = builder.kernel.prefactor * builder.table()
+    kernel, values = build_kernel(source, target), np.empty((n_max + 1, n_prime_max + 1))
+    _TableBuilder(kernel, n_max, values).extend(n_prime_max)
+    values *= kernel.prefactor
     _refuse_overfull((values * values).sum(axis=1), "a coupling matrix row")
     gram = values @ values.T
-    defect = float(np.abs(gram - np.eye(n_max + 1)).max())
+    gram.flat[:: n_max + 2] -= 1.0  # the diagonal
+    defect = float(np.abs(gram, out=gram).max())
     return CouplingMatrix(values=values, gram_defect=defect)
 
 

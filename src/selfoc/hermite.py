@@ -250,36 +250,37 @@ class _TableBuilder:
 
     High and low words live in two arrays ``hi`` and ``lo`` of one row per
     slot, filled in place: storage column j is table column j - 1, and
-    column 0 holds the zeros of column m = -1.  Row n is written into slot
-    ``_slot[n]``, a map fixed at construction.  With ``every_row`` each row
-    has a slot of its own and ``table`` reads them all; otherwise row 0 and
-    the top row have theirs and rows 1..n_rows - 1 take turns in a two-slot
-    ring, so the store grows with the columns, not with the rows.  Row 0 is
-    filled along m (three-term recurrence) in a loop over Python floats
-    (``_row0``).  Each further row is one row step over the new columns
-    (``_rows``) that reads only its window of the row below, the new columns
-    and the one before them: a row is split once, at the start of the step
-    above it, and its products with (ry1, r12, r11) serve the next two rows.
-    Each row's last filled column is kept as its frontier and put back in
-    front of its window before the row above reads it, and row 0 keeps its
-    last two columns in its slot, so a later ``extend`` goes on from every
-    row.  Both fills run the IEEE operations of the plain ``_dd`` calls in
-    their order, so every bit is what those calls would give, and every
-    entry comes out the same however the columns were split into ``extend``
-    calls: spectra can extend their cutoff without recomputation.  Both
-    read the index factors and their splits from ``_index_factors()``; a
-    fill's workspaces, one array per role, live for its ``extend``.
+    column 0 holds the zeros of column m = -1.  Row 0 and the top row have
+    slots of their own, and rows 1..n_rows - 1 take turns in a two-slot ring
+    (``_slot[n]`` is row n's slot), so the store holds at most four rows and
+    grows with the columns, not with the rows.  A caller that returns every
+    row passes ``rows``, an array of n_rows + 1 rows and as many columns as
+    it fills: each fill writes each new row segment into it as hi + lo, the
+    double it rounds to.  Row 0 is filled along m (three-term recurrence) in
+    a loop over Python floats (``_row0``).  Each further row is one row step
+    over the new columns (``_rows``) that reads only its window of the row
+    below, the new columns and the one before them: a row is split once, at
+    the start of the step above it, and its products with (ry1, r12, r11)
+    serve the next two rows.  Each row's last filled column is kept as its
+    frontier and put back in front of its window before the row above reads
+    it, and row 0 keeps its last two columns in its slot, so a later
+    ``extend`` goes on from every row.  Both fills run the IEEE operations
+    of the plain ``_dd`` calls in their order, so every bit is what those
+    calls would give, and every entry comes out the same however the columns
+    were split into ``extend`` calls: spectra can extend their cutoff
+    without recomputation.  Both read the index factors and their splits
+    from ``_index_factors()``; a fill's workspaces, one array per role, live
+    for its ``extend``.
     """
 
-    def __init__(self, kernel: OverlapKernel, n_rows: int, every_row: bool = False):
+    def __init__(self, kernel: OverlapKernel, n_rows: int, rows: np.ndarray | None = None):
         self.kernel = kernel
         self.n_rows = n_rows
+        self.rows = rows
         self.m = -1  # highest filled column
-        if every_row:
-            self._slot = list(range(n_rows + 1))
-        else:  # row 0, rows 1..n_rows - 1 by turns in slots 1 and 2, the top row
-            ring = [2 - n % 2 for n in range(1, n_rows)]
-            self._slot = [0, *ring, min(n_rows, 3)][: n_rows + 1]
+        # row 0, rows 1..n_rows - 1 by turns in slots 1 and 2, the top row
+        ring = [2 - n % 2 for n in range(1, n_rows)]
+        self._slot = [0, *ring, min(n_rows, 3)][: n_rows + 1]
         self.hi, self.lo = np.zeros((2, self._slot[-1] + 1, 1))
         self._edge = np.zeros((2, n_rows + 1))  # each row's frontier: column m
 
@@ -294,10 +295,10 @@ class _TableBuilder:
         grown[0, :, :lo_col + 1], grown[1, :, :lo_col + 1] = self.hi, self.lo
         self.hi, self.lo = grown
         self._bad = []  # (m, n) of each row's first non-finite entry
-        self._row0(m_new)
-        if self.n_rows:
-            # overflow surfaces as a typed error below, not as a warning
-            with np.errstate(over="ignore", invalid="ignore"):
+        # overflow surfaces as a typed error below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._row0(m_new)
+            if self.n_rows:
                 self._rows(lo_col, m_new)
         self.m = m_new
 
@@ -320,12 +321,13 @@ class _TableBuilder:
         that window and multiplying it by (ry1, r12, r11) in one stacked
         product, which rows n and n + 1 read; the two index-factor products
         of each row are one stacked product too.  Each row is checked for
-        non-finite entries as it is written.  The index factors and their
-        splits are views of ``_index_factors()``; the workspaces, one array
-        per role, and the coefficients with their split last this one fill."""
+        non-finite entries as it is written, and added into ``rows`` where
+        the caller gave it.  The index factors and their splits are views of
+        ``_index_factors()``; the workspaces, one array per role, and the
+        coefficients with their split last this one fill."""
         hi, lo, k, f = self.hi, self.lo, m_new + 1 - lo_col, _index_factors()
         win, new = slice(lo_col, m_new + 2), slice(lo_col + 1, m_new + 2)
-        c, slot, (edge_hi, edge_lo) = self.kernel, self._slot, self._edge
+        c, slot, (edge_hi, edge_lo), rows = self.kernel, self._slot, self._edge, self.rows
         coef = np.array([[*r, *dd.split(float(r[0]))] for r in (c.ry1, c.r12, c.r11)]).T[:, :, None]
         coef, coef_split = tuple(coef[:2]), tuple(coef[2:])
         # prod: (ry1, r12, r11) times the row below; x: r12 h[n-1, m-1] and
@@ -366,12 +368,15 @@ class _TableBuilder:
             dd.split_into(acc[0], acc_split)
             out = (hi[slot[n], new], lo[slot[n], new])
             dd.mul_into(acc, acc_split, (f[4, at], f[5, at]), (f[6, at], f[7, at]), out, work[:2])
+            if rows is not None:
+                np.add(*out, out=rows[n, lo_col:m_new + 1])
             # zeros times a finite row sum to 0; an inf or NaN makes NaN
             if not math.isfinite(out[0].dot(zeros)):
                 self._bad.append((lo_col + int(np.isfinite(out[0]).argmin()), n))
 
     def _row0(self, m_new: int):
-        """Row 0 for columns self.m+1..m_new, written into the store.
+        """Row 0 for columns self.m+1..m_new, written into the store (and, as
+        hi + lo, into ``rows`` where the caller gave it).
 
         Column m+1 is dd.mul(dd.sub(dd.mul(ry2, h[m]), dd.mul(dd.mul(r22,
         h[m-1]), sq[m])), inv[m]); column 1 (m = 0) has no sub and is peeled
@@ -441,6 +446,8 @@ class _TableBuilder:
                 cl = c0 - ch
             hi[start + 2:stop + 2] = new_hi
             lo[start + 2:stop + 2] = new_lo
+        if self.rows is not None:
+            np.add(hi[self.m + 2:], lo[self.m + 2:], out=self.rows[0, self.m + 1:m_new + 1])
         if not (ok := np.isfinite(hi[self.m + 2:])).all():
             self._bad.append((self.m + 1 + int(ok.argmin()), 0))
 
@@ -450,10 +457,6 @@ class _TableBuilder:
         double, times the prefactor."""
         top = self._slot[-1]
         return self.kernel.prefactor * (self.hi[top, 1:] + self.lo[top, 1:])
-
-    def table(self) -> np.ndarray:
-        """Every row, rounded to double: only an ``every_row`` builder keeps them."""
-        return self.hi[:, 1:] + self.lo[:, 1:]
 
 
 def _refuse_overfull(mass, what: str):
@@ -468,11 +471,12 @@ def _refuse_overfull(mass, what: str):
 def scaled_hermite_table(kernel: OverlapKernel, n_max: int, m_max: int) -> np.ndarray:
     """Read-only table h[n, m] = H_{nm}(y) / sqrt(2**(n+m) n! m!) up to
     (n_max, m_max): row 0 by the second-index recurrence, then each row from
-    the two below it.  ``kernel.prefactor * h[n, m]`` is the amplitude <n|m>."""
+    the two below it, each written into the returned array as it is filled
+    (the fill itself holds at most four rows).  ``kernel.prefactor * h[n, m]``
+    is the amplitude <n|m>."""
     n_max = check_mode_index(n_max, "n_max")
     m_max = check_mode_index(m_max, "m_max")
-    builder = _TableBuilder(kernel, n_max, every_row=True)
-    builder.extend(m_max)
-    table = builder.table()
+    table = np.empty((n_max + 1, m_max + 1))
+    _TableBuilder(kernel, n_max, table).extend(m_max)
     table.setflags(write=False)
     return table

@@ -139,7 +139,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     with np.errstate(under="ignore"):
         w = _mirror(SQRT_PI * np.exp(-2.0 * logscale) / s, order)
 
-    total = w.sum()
+    total = float(w.sum())
     if not math.isclose(total, SQRT_PI, rel_tol=1e-13):
         raise ConvergenceError(
             f"order-{order} rule failed the total-weight check: {total!r}"

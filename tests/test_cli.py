@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selfoc import OscillatorFrame, Transition1D, spectrum1d
-from selfoc.cli import run
+from selfoc.cli import main, run
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -464,3 +468,39 @@ class TestHelp:
 
     def test_no_subcommand_is_error(self, capsys):
         assert invoke(capsys)[0] == 2
+
+
+class TestEntryPoints:
+    """``main()``, the console script's entry, and ``python -m selfoc.cli``
+    end with the exit code and stdout of ``run()``."""
+
+    CASES = [
+        (("spectrum1d", "--ratio", "3", "--D", "9"), 0),
+        (("spectrum1d", "--ratio", "-1", "--D", "9"), 2),
+        (("spectrum1d", "--ratio", "1e-300", "--D", "0"), 4),
+    ]
+
+    @pytest.mark.parametrize("argv,code", CASES, ids=["ok", "invalid", "numeric"])
+    def test_main_exits_with_run_code(self, capsys, monkeypatch, argv, code):
+        want = invoke(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["selfoc", *argv])
+        with pytest.raises(SystemExit) as info:
+            main()
+        captured = capsys.readouterr()
+        assert info.value.code == want[0] == code
+        assert captured.out == want[1]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv,code", CASES, ids=["ok", "invalid", "numeric"])
+    def test_module_exits_with_run_code(self, capsys, argv, code):
+        want = invoke(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "selfoc.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == want[0] == code
+        assert proc.stdout == want[1]
+        assert "Traceback" not in proc.stderr

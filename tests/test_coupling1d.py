@@ -16,6 +16,7 @@ from selfoc import (
     fc_estimate,
     overlap_closed,
     overlap_quad,
+    scaled_hermite_table,
     spectrum1d,
 )
 from selfoc.coupling1d import _FIRST_FILL_ENTRIES, _first_extent, _n_prime_moments
@@ -318,6 +319,30 @@ class TestCouplingMatrix:
         with pytest.raises(NumericOverflowError, match="mass") as info:
             coupling_matrix(OscillatorFrame(1.0), OscillatorFrame(2.0, 30.0), 40, 600)
         assert info.value.index == 40
+
+    def test_is_the_table_times_the_prefactor(self):
+        # the rows written into the result and scaled in place give the bits
+        # of prefactor * table, and the defect formed inside the Gram matrix
+        # those of max |V V^T - I|
+        source, target = OscillatorFrame(1.0), OscillatorFrame(2.0, 1.5)
+        kernel = build_kernel(source, target)
+        values = kernel.prefactor * scaled_hermite_table(kernel, 30, 200)
+        cm = coupling_matrix(source, target, 30, 200)
+        assert cm.values.tobytes() == values.tobytes()
+        assert cm.gram_defect == float(np.abs(values @ values.T - np.eye(31)).max())
+
+    @pytest.mark.parametrize(
+        "target,n_max,n_prime_max", [((1.5, 0.5), 400, 400), ((1.1, 0.0), 200, 3000)]
+    )
+    def test_memory_about_twice_the_result(self, traced_peak, target, n_max, n_prime_max):
+        # the table's rows go straight into the result, whose only
+        # result-sized companion is the Gram matrix (square) or the squares
+        # summed for the mass check (wide); the fill holds four rows
+        source, target = OscillatorFrame(1.0), OscillatorFrame(*target)
+        coupling_matrix(source, target, 2, 10)  # index factors built before tracing
+        cm, peak = traced_peak(lambda: coupling_matrix(source, target, n_max, n_prime_max))
+        assert cm.values.shape == (n_max + 1, n_prime_max + 1)
+        assert peak <= 2.2 * cm.values.nbytes
 
     def test_warns_on_truncated_rows(self):
         with pytest.warns(RuntimeWarning):

@@ -375,46 +375,65 @@ class TestTableChunking:
     )
     def test_irregular_extends_match_one_extend(self, w, wp, d, n):
         kernel = build_kernel(OscillatorFrame(w), OscillatorFrame(wp, d))
-        grown = _TableBuilder(kernel, n, every_row=True)
+        grown, once = top_row_fills(kernel, n), top_row_fills(kernel, n)
         for m in self.STEPS:
-            grown.extend(m)
-        once = _TableBuilder(kernel, n, every_row=True)
-        once.extend(self.STEPS[-1])
-        assert grown.m == once.m == self.STEPS[-1]
-        for k in range(n + 1):
-            assert np.array_equal(grown.hi[k, 1:], once.hi[k, 1:])
-            assert np.array_equal(grown.lo[k, 1:], once.lo[k, 1:])
+            for fill in grown:
+                fill.extend(m)
+        for fill in once:
+            fill.extend(self.STEPS[-1])
+        for a, b in zip(grown, once):
+            assert a.m == b.m == self.STEPS[-1]
+            assert_same_bits(a.hi[-1, 1:], b.hi[-1, 1:])
+            assert_same_bits(a.lo[-1, 1:], b.lo[-1, 1:])
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 20])
     @pytest.mark.parametrize(
         "w,wp,d", [(1.0, 3.0, 3.0), (1.0, 1.5, 0.0), (0.7, 2.1, -4.0), (2.0, 0.5, 1.5)]
     )
     def test_ring_top_row_matches_every_row(self, w, wp, d, n):
-        # the amplitude-only store (row 0, a two-slot ring, the top row) gives
-        # the top row of the every-row store and of the plain-call fill, bit
-        # for bit, after every extend of the irregular split
+        # the store (row 0, a two-slot ring, the top row) holds the top row
+        # of the plain-call fill, bit for bit, with or without a caller's
+        # array, and the array gets every row as hi + lo, after every extend
+        # of the irregular split and in no column past it
         kernel = build_kernel(OscillatorFrame(w), OscillatorFrame(wp, d))
-        ring = _TableBuilder(kernel, n)
-        every, want = _TableBuilder(kernel, n, every_row=True), _ReferenceFill(kernel, n)
-        top = min(n, 3)
-        assert len(ring.hi) == top + 1
+        rows = np.full((n + 1, self.STEPS[-1] + 1), np.nan)
+        ring, every = _TableBuilder(kernel, n), _TableBuilder(kernel, n, rows)
+        want, top = _ReferenceFill(kernel, n), min(n, 3)
         for m in self.STEPS:
             for fill in (ring, every, want):
                 fill.extend(m)
-            for got, full, plain in ((ring.hi, every.hi, want.hi), (ring.lo, every.lo, want.lo)):
-                assert_same_bits(got[top, 1:], full[n, 1:])
-                assert_same_bits(got[top, 1:], plain[n])
+            for fill in (ring, every):
+                assert len(fill.hi) == len(fill.lo) == top + 1
+                assert_same_bits(fill.hi[top, 1:], want.hi[n])
+                assert_same_bits(fill.lo[top, 1:], want.lo[n])
+            for k in range(n + 1):
+                assert_same_bits(rows[k, :m + 1], want.hi[k] + want.lo[k])
+            assert np.isnan(rows[:, m + 1:]).all()
             assert_same_bits(ring.amplitude, every.amplitude)
+
+    def test_store_holds_at_most_four_rows(self):
+        # one storage mode: however many rows, and whether or not the caller
+        # takes every row, a builder keeps row 0, a two-slot ring and its top
+        # row, and writes that top row into the caller's array
+        kernel = build_kernel(OscillatorFrame(1.0), OscillatorFrame(1.5, 0.5))
+        for n in range(51):
+            for rows in (None, np.empty((n + 1, 41))):
+                fill = _TableBuilder(kernel, n, rows)
+                fill.extend(40)
+                assert fill.hi.shape == fill.lo.shape == (min(n, 3) + 1, 42)
+                if rows is not None:
+                    assert rows.shape == (n + 1, 41)
+                    assert_same_bits(rows[n], fill.hi[-1, 1:] + fill.lo[-1, 1:])
 
     def test_overflow_below_the_top_row_is_named_from_the_ring(self):
         # coefficients picked so that row 3 of 6, a ring row, leaves double
-        # range first, at column 154, and the rows above it only there: the
-        # amplitude-only store names the entry the every-row store and the
-        # plain-call fill name, however the columns were split
+        # range first, at column 154, and the rows above it only there: a
+        # builder, with or without a caller's array, names the entry the
+        # plain-call fill names, however the columns were split
         kernel = OverlapKernel((-1.0, 0.0), (-0.36, 0.0), (1.0, 0.0), (-5.25, 0.0), (934.5, 0.0), 1.0)
         named = set()
         for steps in ([300], [100, 153, 154, 300], range(301)):
-            for fill in (_TableBuilder(kernel, 6), _TableBuilder(kernel, 6, every_row=True),
+            for fill in (_TableBuilder(kernel, 6), _TableBuilder(kernel, 6, np.empty((7, 301))),
                          _ReferenceFill(kernel, 6)):
                 with pytest.raises(NumericOverflowError) as info:
                     for m in steps:
@@ -549,6 +568,12 @@ def seeded_fill_cases(count=24):
     return out
 
 
+def top_row_fills(kernel, n):
+    """One builder per row k = 0..n of the kernel's table, whose top row is
+    row k: ``fills[k].hi[-1, 1:]`` and ``.lo[-1, 1:]`` are row k's words."""
+    return [_TableBuilder(kernel, k) for k in range(n + 1)]
+
+
 def assert_same_bits(a, b):
     assert a.dtype == b.dtype == np.float64
     assert a.tobytes() == b.tobytes()
@@ -568,14 +593,14 @@ class TestFillBitsPinned:
     def test_matches_dd_call_fill(self, case):
         ratio, big_d, n, steps = case
         kernel = build_kernel(OscillatorFrame(1.0), OscillatorFrame(ratio, math.sqrt(big_d)))
-        builder, want = _TableBuilder(kernel, n, every_row=True), _ReferenceFill(kernel, n)
+        fills, want = top_row_fills(kernel, n), _ReferenceFill(kernel, n)
         for m in steps:
-            builder.extend(m)
             want.extend(m)
-            assert builder.m == want.m == m
-            for k in range(n + 1):
-                assert_same_bits(builder.hi[k, 1:], want.hi[k])
-                assert_same_bits(builder.lo[k, 1:], want.lo[k])
+            for k, fill in enumerate(fills):
+                fill.extend(m)
+                assert fill.m == want.m == m
+                assert_same_bits(fill.hi[-1, 1:], want.hi[k])
+                assert_same_bits(fill.lo[-1, 1:], want.lo[k])
 
     def test_index_factor_table(self):
         # the process table holds the reference's factors and their splits

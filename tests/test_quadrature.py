@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from itertools import islice
@@ -11,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfoc import QuadratureRule, gauss_hermite
+import selfoc.quadrature as quadrature
+from selfoc import ConvergenceError, QuadratureRule, gauss_hermite
+from selfoc.cli import run
 from selfoc.hermite import _ladder
 from selfoc.quadrature import _initial_nodes, _scaled_pass
 
@@ -227,6 +230,68 @@ class TestExactness:
 
 def test_rules_are_cached_and_shared():
     assert gauss_hermite(12) is gauss_hermite(12)
+
+
+class TestRefusals:
+    """The rule's two refusals, each forced by a final pass broken in one
+    way: the Newton polish converges at every order, so neither refusal
+    arises on its own."""
+
+    @pytest.fixture
+    def broken_pass(self, monkeypatch):
+        def install(change):
+            def broken(order, x):
+                f_n, f_nm1, s, logscale = _scaled_pass(order, x)
+                return change(f_n.copy(), f_nm1, s, logscale)
+
+            monkeypatch.setattr(quadrature, "_scaled_pass", broken)
+            gauss_hermite.cache_clear()
+
+        yield install
+        gauss_hermite.cache_clear()
+
+    @staticmethod
+    def unpolished(f_n, f_nm1, s, logscale):
+        # the second non-negative node, node 2 and its mirror node 4 of an
+        # order-7 rule, keeps a residual of 1 / (sqrt(14) - x)
+        f_n[1] = f_nm1[1]
+        return f_n, f_nm1, s, logscale
+
+    def test_unpolished_node_is_named(self, broken_pass):
+        broken_pass(self.unpolished)
+        with pytest.raises(ConvergenceError) as info:
+            gauss_hermite(7)
+        assert info.value.node_index == 2
+        assert re.fullmatch(
+            r"node 2 of order-7 rule failed to converge \(residual \d\.\d{3}e-01\)",
+            str(info.value),
+        )
+
+    def test_total_weight_is_checked(self, broken_pass):
+        broken_pass(lambda f_n, f_nm1, s, logscale: (f_n, f_nm1, 1.5 * s, logscale))
+        with pytest.raises(ConvergenceError) as info:
+            gauss_hermite(7)
+        assert info.value.node_index is None
+        # the total as a plain float's repr, not numpy's scalar repr
+        message = re.fullmatch(
+            r"order-7 rule failed the total-weight check: (\d\.\d+)", str(info.value)
+        )
+        assert float(message[1]) == pytest.approx(SQRT_PI / 1.5, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["unpolished", "total-weight"])
+    def test_cli_exit_is_numeric_failure(self, broken_pass, capsys, kind):
+        if kind == "unpolished":
+            broken_pass(self.unpolished)
+            reason = r"node \d+ of order-\d+ rule failed to converge \(residual .*\)"
+        else:
+            broken_pass(lambda f_n, f_nm1, s, logscale: (f_n, f_nm1, 1.5 * s, logscale))
+            reason = r"order-\d+ rule failed the total-weight check: .*"
+        code = run(["coupled2d", "--ratio-x", "2", "--ratio-y", "3", "--gamma-prime", "1.5",
+                    "--cap", "8"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert re.fullmatch(f"selfoc: numeric failure: {reason}\n", err)
 
 
 def test_dataclass_roundtrip():
