@@ -23,11 +23,9 @@ from .coupling1d import (
 )
 from .coupling2d import (
     CouplingTensor,
-    NormalModes,
     SchmidtReport,
     Waveguide2D,
     coupled_tensor,
-    normal_modes,
     overlap_coupled,
     overlap_quad,
     schmidt_report,
@@ -45,10 +43,8 @@ from .hermite import (
     OscillatorFrame,
     OverlapKernel,
     build_kernel,
-    hermite_scaled,
     scaled_hermite_table,
 )
-from .quadrature import QuadratureRule, gauss_hermite
 
 __version__ = "0.1.0"
 
@@ -58,13 +54,11 @@ __all__ = [
     "ConvergenceError",
     "CouplingMatrix",
     "CouplingTensor",
-    "NormalModes",
     "NotPositiveDefiniteError",
     "NumericOverflowError",
     "OscillatorFrame",
     "OverlapKernel",
     "PartialResultError",
-    "QuadratureRule",
     "SchmidtReport",
     "Spectrum",
     "Transition1D",
@@ -74,9 +68,6 @@ __all__ = [
     "coupling_matrix",
     "fc_candidates",
     "fc_estimate",
-    "gauss_hermite",
-    "hermite_scaled",
-    "normal_modes",
     "overlap_closed",
     "overlap_coupled",
     "overlap_quad",

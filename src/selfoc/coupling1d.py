@@ -44,7 +44,7 @@ class Transition1D:
     n: int
 
     def __post_init__(self):
-        check_mode_index(self.n)
+        object.__setattr__(self, "n", check_mode_index(self.n))
 
     @property
     def d(self) -> float:
@@ -211,10 +211,12 @@ def coupling_matrix(
     """All amplitudes for initial modes 0..n_max into final 0..n_prime_max.
 
     Cut from a single table whose rows are written into the returned array
-    as they are filled, then scaled by the prefactor in place; the reported
-    Gram defect ``max |V V^T - I|`` is formed inside the Gram matrix, so the
-    call holds about twice its result.  The defect measures how much
-    final-mode completeness is lost to the n' truncation.
+    as they are filled, then scaled by the prefactor in place; each row's
+    mass, checked against 1 + 1e-10, is the Gram matrix's diagonal, and the
+    reported Gram defect ``max |V V^T - I|`` is formed inside that matrix,
+    so the call holds its result and one (n_max + 1)-square array.  The
+    defect measures how much final-mode completeness is lost to the n'
+    truncation.
     """
     n_max = check_mode_index(n_max, "n_max")
     n_prime_max = check_mode_index(n_prime_max, "n_prime_max")
@@ -228,8 +230,8 @@ def coupling_matrix(
     kernel, values = build_kernel(source, target), np.empty((n_max + 1, n_prime_max + 1))
     _TableBuilder(kernel, n_max, values).extend(n_prime_max)
     values *= kernel.prefactor
-    _refuse_overfull((values * values).sum(axis=1), "a coupling matrix row")
     gram = values @ values.T
+    _refuse_overfull(gram.diagonal(), "a coupling matrix row")
     gram.flat[:: n_max + 2] -= 1.0  # the diagonal
     defect = float(np.abs(gram, out=gram).max())
     return CouplingMatrix(values=values, gram_defect=defect)

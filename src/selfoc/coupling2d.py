@@ -72,35 +72,18 @@ class Waveguide2D:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class NormalModes:
-    """Frequencies and unit axes diagonalizing a 2D quadratic form.
-
-    ``axes`` holds the unit axis of each mode as rows (plus, minus).  For
-    gamma = 0 they are the identity, in (x, y) order.  For gamma != 0 they
-    are (cos theta, sin theta) and (-sin theta, cos theta), with theta on
-    the branch (-pi/4, pi/4] (pi/4 at exact frequency degeneracy), ordered
-    by descending frequency (Omega_plus first).
-    """
-
-    omega_plus: float
-    omega_minus: float
-    axes: np.ndarray
-
-    def __post_init__(self):
-        self.axes.setflags(write=False)
-
-    @property
-    def frequencies(self) -> tuple:
-        return (self.omega_plus, self.omega_minus)
-
-
-def normal_modes(w: Waveguide2D) -> NormalModes:
-    """Diagonalize the quadratic form of a 2D profile.
+def _normal_modes(w: Waveguide2D) -> tuple:
+    """Diagonalize the quadratic form of a 2D profile, in Python floats:
+    ``((Omega_plus, Omega_minus), (e_plus, e_minus))``, the normal
+    frequencies and the unit axis of each mode.
 
     tan(2 theta) = gamma / (wx^2 - wy^2); the normal frequencies are the
     square roots of the eigenvalues of the form's matrix M = [[wx^2,
-    gamma/2], [gamma/2, wy^2]], U = (1/2) r^T M r.
+    gamma/2], [gamma/2, wy^2]], U = (1/2) r^T M r.  For gamma = 0 the axes
+    are the identity's rows, in (x, y) order.  For gamma != 0 they are (cos
+    theta, sin theta) and (-sin theta, cos theta), with theta on the branch
+    (-pi/4, pi/4] (pi/4 at exact frequency degeneracy), ordered by
+    descending frequency (Omega_plus first).
 
     Raises
     ------
@@ -111,7 +94,7 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
         that passes the construction check within an ulp of the boundary.
     """
     if w.gamma == 0.0:
-        return NormalModes(omega_plus=w.omega_x, omega_minus=w.omega_y, axes=np.eye(2))
+        return (w.omega_x, w.omega_y), ((1.0, 0.0), (0.0, 1.0))
     a, cc, b = w.omega_x * w.omega_x, w.omega_y * w.omega_y, w.gamma / 2.0
     theta = math.pi / 4.0 if a == cc else 0.5 * math.atan(2.0 * b / (a - cc))
     cos, sin = math.cos(theta), math.sin(theta)
@@ -127,9 +110,7 @@ def normal_modes(w: Waveguide2D) -> NormalModes:
             f"{w} is not positive definite in double precision: its smaller "
             f"form eigenvalue is {lo[0]!r}"
         )
-    return NormalModes(
-        omega_plus=math.sqrt(hi[0]), omega_minus=math.sqrt(lo[0]), axes=np.array([hi[1], lo[1]])
-    )
+    return (math.sqrt(hi[0]), math.sqrt(lo[0])), (hi[1], lo[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,12 +235,11 @@ def _pair(source: Waveguide2D, target: Waveguide2D) -> tuple:
     block and the moments: ``(w_s, w_t, g, p)``, the source's and target's
     normal frequencies, g[k][i] = e_k.f_i (source axis k on target axis i)
     and p = (e_0, e_1, f_0, f_1).(c_s - c_t)."""
-    nm_s, nm_t = normal_modes(source), normal_modes(target)
-    e_s, f = nm_s.axes.tolist(), nm_t.axes.tolist()
+    (w_s, e_s), (w_t, f) = _normal_modes(source), _normal_modes(target)
     g = [[x * f[i][0] + y * f[i][1] for i in (0, 1)] for x, y in e_s]
     dx, dy = (ct - cs for ct, cs in zip(target.center, source.center))
     p = [-x * dx - y * dy for x, y in e_s + f]
-    return nm_s.frequencies, nm_t.frequencies, g, p
+    return w_s, w_t, g, p
 
 
 def quad_order_for(n: int, n_prime: int) -> int:

@@ -54,6 +54,8 @@ class OscillatorFrame:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not math.isfinite(self.center):
             raise ValueError(f"center must be finite, got {self.center}")
+        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "center", float(self.center))
 
 
 def _ladder(xi, out=None):

@@ -23,7 +23,6 @@ from selfoc import (
     coupled_tensor,
     coupling_matrix,
     fc_estimate,
-    gauss_hermite,
     overlap_closed,
     overlap_coupled,
     overlap_quad,
@@ -31,6 +30,7 @@ from selfoc import (
     spectrum1d,
     spectrum2d_separable,
 )
+from selfoc.quadrature import gauss_hermite
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -23,7 +23,6 @@ from selfoc import (
     Waveguide2D,
     coupled_tensor,
     coupling_matrix,
-    normal_modes,
     overlap_closed,
     overlap_coupled,
     overlap_quad,
@@ -32,7 +31,7 @@ from selfoc import (
     spectrum2d_separable,
 )
 from selfoc.coupling1d import _n_prime_moments
-from selfoc.coupling2d import _first_block, _pair, _target_mode_moments, quad_order_for
+from selfoc.coupling2d import _first_block, _normal_modes, _pair, _target_mode_moments, quad_order_for
 from selfoc.hermite import (
     MODE_INDEX_CAP,
     _refuse_overfull,
@@ -81,26 +80,26 @@ def form_matrix(w):
 
 class TestNormalModes:
     def test_uncoupled_keeps_axis_order(self):
-        nm = normal_modes(Waveguide2D(1.0, 2.0))
-        assert nm.frequencies == (1.0, 2.0)
-        assert np.array_equal(nm.axes, np.eye(2))
+        freqs, axes = _normal_modes(Waveguide2D(1.0, 2.0))
+        assert freqs == (1.0, 2.0)
+        assert np.array_equal(axes, np.eye(2))
 
     def test_degenerate_coupled(self):
-        nm = normal_modes(Waveguide2D(1.0, 1.0, 1.0))
-        assert np.array_equal(nm.axes[0], [math.cos(math.pi / 4), math.sin(math.pi / 4)])
-        assert nm.omega_plus**2 == pytest.approx(1.5, rel=1e-14)
-        assert nm.omega_minus**2 == pytest.approx(0.5, rel=1e-14)
+        (w_plus, w_minus), axes = _normal_modes(Waveguide2D(1.0, 1.0, 1.0))
+        assert np.array_equal(axes[0], [math.cos(math.pi / 4), math.sin(math.pi / 4)])
+        assert w_plus**2 == pytest.approx(1.5, rel=1e-14)
+        assert w_minus**2 == pytest.approx(0.5, rel=1e-14)
 
     def test_ordering_descending_for_coupled(self):
-        nm = normal_modes(Waveguide2D(1.0, 2.0, 1.0))
-        assert nm.omega_plus > nm.omega_minus
+        (w_plus, w_minus), _ = _normal_modes(Waveguide2D(1.0, 2.0, 1.0))
+        assert w_plus > w_minus
 
     def test_theta_branch(self):
         # the axes are (cos t, sin t) and (-sin t, cos t) with t in
         # (-pi/4, pi/4], in frequency order: either row may be the first
         for w, first in [(Waveguide2D(2.0, 1.0, 0.8), 0), (Waveguide2D(1.0, 2.0, 1.0), 1),
                          (Waveguide2D(1.0, 1.0, -1.0), 1), (Waveguide2D(1.0, 3.0, -2.5), 1)]:
-            axes = normal_modes(w).axes
+            _, axes = _normal_modes(w)
             (cos, sin), other = axes[first], axes[1 - first]
             assert np.array_equal(other, [-sin, cos]), w
             assert -math.pi / 4 < math.atan2(sin, cos) <= math.pi / 4, w
@@ -111,18 +110,18 @@ class TestNormalModes:
         wx, wy = rng.uniform(0.5, 3.0, size=2)
         gamma = rng.uniform(-1.9, 1.9) * wx * wy
         w = Waveguide2D(wx, wy, gamma)
-        nm = normal_modes(w)
-        rebuilt = nm.omega_plus**2 * np.outer(nm.axes[0], nm.axes[0]) + (
-            nm.omega_minus**2 * np.outer(nm.axes[1], nm.axes[1])
+        (w_plus, w_minus), axes = _normal_modes(w)
+        rebuilt = w_plus**2 * np.outer(axes[0], axes[0]) + (
+            w_minus**2 * np.outer(axes[1], axes[1])
         )
         assert np.abs(rebuilt - form_matrix(w)).max() < 1e-12
 
     def test_eigenvalues_match_closed_form(self):
         w = Waveguide2D(1.2, 0.8, 0.9)
-        nm = normal_modes(w)
+        (w_plus, w_minus), _ = _normal_modes(w)
         evals = np.linalg.eigvalsh(form_matrix(w))
-        assert nm.omega_minus**2 == pytest.approx(evals[0], rel=1e-13)
-        assert nm.omega_plus**2 == pytest.approx(evals[1], rel=1e-13)
+        assert w_minus**2 == pytest.approx(evals[0], rel=1e-13)
+        assert w_plus**2 == pytest.approx(evals[1], rel=1e-13)
 
     def test_profiles_an_ulp_inside_the_boundary(self):
         # gamma = +/-nextafter(2 wx wy, 0) passes or fails the construction
@@ -134,11 +133,11 @@ class TestNormalModes:
             for sign in (1.0, -1.0):
                 gamma = sign * math.nextafter(2.0 * wx * wy, 0.0)
                 try:
-                    nm = normal_modes(Waveguide2D(wx, wy, gamma))
+                    (w_plus, w_minus), _ = _normal_modes(Waveguide2D(wx, wy, gamma))
                 except NotPositiveDefiniteError as exc:
                     refused_late += "form eigenvalue" in str(exc)
                     continue
-                assert 0.0 < nm.omega_minus <= nm.omega_plus < math.inf
+                assert 0.0 < w_minus <= w_plus < math.inf
         assert refused_late > 0
 
 
@@ -152,12 +151,13 @@ class TestNormalModes:
         ):
             wy = wx * math.exp(log_ratio)
             w = Waveguide2D(wx, wy, 2.0 * g * wx * wy)
-            nm = normal_modes(w)
+            (w_plus, w_minus), axes = _normal_modes(w)
             lo, hi = np.linalg.eigvalsh(form_matrix(w))
-            tol = 1e-14 * nm.omega_plus**2
-            assert abs(nm.omega_plus**2 - hi) <= tol
-            assert abs(nm.omega_minus**2 - lo) <= tol
-            np.testing.assert_allclose(nm.axes @ nm.axes.T, np.eye(2), rtol=0.0, atol=1e-15)
+            tol = 1e-14 * w_plus**2
+            assert abs(w_plus**2 - hi) <= tol
+            assert abs(w_minus**2 - lo) <= tol
+            axes = np.array(axes)
+            np.testing.assert_allclose(axes @ axes.T, np.eye(2), rtol=0.0, atol=1e-15)
 
 
 def separable_pair(dx=3.0, dy=4.0, rx=2.0, ry=3.0):
@@ -256,14 +256,14 @@ class TestOverlapCoupled:
         # into a coupled target factorizes over the target normal modes
         src = Waveguide2D(1.0, 1.0)
         tgt = Waveguide2D(1.0, 1.0, 0.8)
-        nm = normal_modes(tgt)
+        (w_plus, w_minus), _ = _normal_modes(tgt)
         direct = overlap_coupled(src, tgt, 0, 0, 0, 0)
         sep = (
             overlap_closed(
-                Transition1D(OscillatorFrame(1.0), OscillatorFrame(nm.omega_plus), 0), 0
+                Transition1D(OscillatorFrame(1.0), OscillatorFrame(w_plus), 0), 0
             )
             * overlap_closed(
-                Transition1D(OscillatorFrame(1.0), OscillatorFrame(nm.omega_minus), 0), 0
+                Transition1D(OscillatorFrame(1.0), OscillatorFrame(w_minus), 0), 0
             )
         )
         assert abs(direct - sep) < 1e-10
@@ -400,21 +400,19 @@ class TestOverlapCoupled:
 
 
 def _mode_factors(w: Waveguide2D):
-    """The profile's NormalModes and its Gaussian envelope matrix
-    A = sum_j Omega_j e_j e_j^T."""
-    nm = normal_modes(w)
-    axes = nm.axes
-    freqs = nm.frequencies
+    """The profile's normal frequencies, its unit axes and its Gaussian
+    envelope matrix A = sum_j Omega_j e_j e_j^T."""
+    freqs, axes = _normal_modes(w)
     a = freqs[0] * np.outer(axes[0], axes[0]) + freqs[1] * np.outer(axes[1], axes[1])
-    return nm, a
+    return freqs, axes, a
 
 
 def _eigenframe_block(source, target, n_x, n_y, top1, top2):
     """The coupled block integrated in the eigenframe of the combined
     envelope Q = A_s + A_t: both target Hermite stacks on the full
     order^2 node grid and one GEMM over it."""
-    nm_s, a_s = _mode_factors(source)
-    nm_t, a_t = _mode_factors(target)
+    w_s, e_s, a_s = _mode_factors(source)
+    w_t, e_t, a_t = _mode_factors(target)
     c_s = np.asarray(source.center, dtype=float)
     c_t = np.asarray(target.center, dtype=float)
     q = a_s + a_t
@@ -431,12 +429,12 @@ def _eigenframe_block(source, target, n_x, n_y, top1, top2):
     def xi(axis, freq, center):
         return (axis[0] * (x - center[0]) + axis[1] * (y - center[1])) * math.sqrt(freq)
 
-    src = hermite_scaled(n_x, xi(nm_s.axes[0], nm_s.omega_plus, c_s)) * hermite_scaled(
-        n_y, xi(nm_s.axes[1], nm_s.omega_minus, c_s)
+    src = hermite_scaled(n_x, xi(e_s[0], w_s[0], c_s)) * hermite_scaled(
+        n_y, xi(e_s[1], w_s[1], c_s)
     )
-    stack1 = coupling2d._poly_stack(top1, xi(nm_t.axes[0], nm_t.omega_plus, c_t))
-    stack2 = coupling2d._poly_stack(top2, xi(nm_t.axes[1], nm_t.omega_minus, c_t))
-    norm = math.prod(nm_s.frequencies + nm_t.frequencies) ** 0.25 / math.pi
+    stack1 = coupling2d._poly_stack(top1, xi(e_t[0], w_t[0], c_t))
+    stack2 = coupling2d._poly_stack(top2, xi(e_t[1], w_t[1], c_t))
+    norm = math.prod(w_s + w_t) ** 0.25 / math.pi
     jac = 2.0 / math.sqrt(evals[0] * evals[1])
     weight = (rule.weights[:, None] * rule.weights[None, :] * src).reshape(-1)
     m1 = stack1.reshape(top1 + 1, -1) * weight
@@ -1423,9 +1421,9 @@ class TestGaussianOracle:
         ids=[f"seeded-{i}" for i in range(24)] + ["uncoupled"],
     )
     def test_entropy_and_singular_values(self, source, target):
-        nm_s, nm_t = normal_modes(source), normal_modes(target)
-        omega, w = nm_t.omega_plus, np.array(nm_s.frequencies)
-        g = nm_s.axes @ nm_t.axes[0]
+        (w_s, e_s), (w_t, e_t) = _normal_modes(source), _normal_modes(target)
+        omega, w = w_t[0], np.array(w_s)
+        g = np.array(e_s) @ e_t[0]
         v_x = omega * float(np.sum(g * g / (2.0 * w)))
         v_p = float(np.sum(g * g * w)) / (2.0 * omega)
         nu = math.sqrt(v_x * v_p)
@@ -1486,7 +1484,7 @@ class TestTargetModeMoments:
     def test_overflowing_normal_frequencies_refused(self):
         source, target = Waveguide2D(1.0, 1.0), Waveguide2D(1e300, 2.0, 1.0)
         for call in (
-            lambda: normal_modes(target),
+            lambda: _normal_modes(target),
             lambda: _first_block(_pair(source, target), 0, 0, 8, 16),
             lambda: coupled_tensor(source, target, 0, 0, 1e-8, 16),
         ):

@@ -12,12 +12,11 @@ from selfoc import (
     NumericOverflowError,
     OscillatorFrame,
     build_kernel,
-    gauss_hermite,
-    hermite_scaled,
     scaled_hermite_table,
 )
 from selfoc import _dd as dd
-from selfoc.hermite import OverlapKernel, _index_factors, _TableBuilder
+from selfoc.hermite import OverlapKernel, _index_factors, _TableBuilder, hermite_scaled
+from selfoc.quadrature import gauss_hermite
 
 #: Column block of the table fill before it filled in place: ``_ReferenceFill``
 #: still splits its fills into blocks this wide.

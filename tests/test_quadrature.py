@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import selfoc.quadrature as quadrature
-from selfoc import ConvergenceError, QuadratureRule, gauss_hermite
+from selfoc import ConvergenceError
 from selfoc.cli import run
 from selfoc.hermite import _ladder
-from selfoc.quadrature import _initial_nodes, _scaled_pass
+from selfoc.quadrature import QuadratureRule, _initial_nodes, _scaled_pass, gauss_hermite
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -302,8 +302,8 @@ def test_dataclass_roundtrip():
 
 _COLD_PROBE = """
 import contextlib, io, json, sys
-import selfoc, selfoc.cli
-rules = [selfoc.gauss_hermite(order) for order in (1, 5, 200)]
+import selfoc.cli, selfoc.quadrature
+rules = [selfoc.quadrature.gauss_hermite(order) for order in (1, 5, 200)]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = selfoc.cli.run(["coupled2d", "--ratio-x", "1.5", "--ratio-y", "2",
                            "--gamma-prime", "0.8", "--eps", "1e-5"])
